@@ -70,7 +70,7 @@ def main(argv=None) -> int:
         train_labels = [manifest.records[i].emotion for i in manifest.train_indices]
         tuned = tune_qr_ratio([predict_frames(model, m) for m in train_mats],
                               train_labels, kcfg)
-        kcfg = replace(kcfg, q=tuned.best_q, process_noise=None)
+        kcfg = replace(kcfg, q=tuned.best_q)
         print(f"tuned q/r ratio {tuned.best_ratio:g} (q={tuned.best_q:g})")
 
     mats, labels = pipeline.test_set(manifest, features_dir)

@@ -18,9 +18,8 @@ from .features import (FEATURE_COLUMNS, FeatureMatrix, MelFilterbank, ScalerStat
                        apply_scaler, build_mel_filterbank, compute_delta, compute_mfcc,
                        compute_rmse, compute_zcr, extract_features, fit_scaler,
                        hz_to_mel, load_features, mel_to_hz, save_features)
-from .kalman import (KalmanConfig, KalmanState, SmoothedTrajectory, TuneResult,
-                     correct_step, filter_batch, filter_trajectory, gain_schedule,
-                     initial_state, predict_step, rts_smooth, tune_qr_ratio)
+from .kalman import (KalmanConfig, SmoothedTrajectory, TuneResult, filter_batch,
+                     filter_trajectory, rts_smooth, tune_qr_ratio)
 from .manifest import (CLASS_NAMES, Emotion, Manifest, UtteranceRecord, build_manifest,
                        generate_synthetic_dataset, parse_ravdess_filename, split_manifest)
 from .mlp import (MlpModel, TrainConfig, TrainTrace, adam_step, backward, cross_entropy,
@@ -34,20 +33,19 @@ __version__ = "0.1.0"
 __all__ = [
     "AudioClip", "CLASS_NAMES", "CheckpointError", "ConfigError", "ConfusionMatrix",
     "DecodeError", "Emotion", "EmptyDatasetError", "EvalReport", "FEATURE_COLUMNS",
-    "FeatureMatrix", "FilenameParseError", "FramingConfig", "GainReport", "KalmanConfig",
-    "KalmanState", "KftserError", "Manifest", "MelFilterbank", "MlpModel",
+    "FeatureMatrix", "FilenameParseError", "FramingConfig", "GainReport",
+    "KalmanConfig", "KftserError", "Manifest", "MelFilterbank", "MlpModel",
     "PipelineConfig", "PipelineEvaluation", "ScalerStats", "SmoothedTrajectory",
     "TrainConfig", "TrainTrace", "TuneResult", "UtteranceRecord", "adam_step",
     "apply_scaler", "backward", "build_manifest", "build_mel_filterbank",
     "classification_report", "compute_delta", "compute_mfcc", "compute_rmse",
-    "compute_zcr", "confusion_matrix", "correct_step", "cross_entropy", "decode_wav",
+    "compute_zcr", "confusion_matrix", "cross_entropy", "decode_wav",
     "evaluate_pipeline", "extract_features", "extract_to_dir", "filter_batch",
     "filter_trajectory", "fit_scaler", "forward", "forward_trace", "frame_signal",
-    "fuse_utterance", "gain_schedule", "generate_synthetic_dataset", "hz_to_mel",
-    "init_model", "initial_state", "load_checkpoint", "load_features",
-    "load_features_for_indices", "mel_to_hz", "parse_ravdess_filename",
-    "predict_frames", "predict_step", "resample", "rts_smooth", "save_checkpoint",
-    "save_features", "softmax", "split_manifest", "synth_noisy_trajectories", "train",
-    "train_from_manifest", "trim_silence", "tune_qr_ratio", "wav_to_features",
-    "write_wav",
+    "fuse_utterance", "generate_synthetic_dataset", "hz_to_mel", "init_model",
+    "load_checkpoint", "load_features", "load_features_for_indices", "mel_to_hz",
+    "parse_ravdess_filename", "predict_frames", "resample", "rts_smooth",
+    "save_checkpoint", "save_features", "softmax", "split_manifest",
+    "synth_noisy_trajectories", "train", "train_from_manifest", "trim_silence",
+    "tune_qr_ratio", "wav_to_features", "write_wav",
 ]

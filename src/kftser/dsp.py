@@ -144,7 +144,7 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     up, down = target_rate // g, clip.sample_rate // g
     half = (64 * max(up, down)) // 2
     kernel = sps.firwin(2 * half + 1, 1.0 / max(up, down), window=("kaiser", 8.6))
-    out = sps.resample_poly(clip.samples, up, down, window=kernel * up)
+    out = sps.resample_poly(clip.samples, up, down, window=kernel)
     return AudioClip(out, target_rate)
 
 

@@ -1,100 +1,73 @@
 """Kalman filtering of per-frame class posteriors.
 
-The state is the 4-vector of class probabilities; transition and observation
-default to identity, so the filter acts as a tuned temporal low-pass over the
-classifier output. A fixed-interval smoother and a q/r grid search ride on top.
+The state is the vector of class probabilities under the identity random
+walk: transition F = I, observation H = I, process noise Q = qI and
+measurement noise R = rI, starting from the uniform mean with covariance
+P0 = I. Every covariance of that model is a multiple of I, so the matrix
+recursion (Anderson & Moore, *Optimal Filtering*, 1979, ch. 3-4) reduces to
+scalars: with p the filtered variance,
+
+    predicted variance  p_t^p = p_{t-1} + q
+    gain                k_t   = p_t^p / (p_t^p + r)
+    filtered variance   p_t   = (1 - k_t) p_t^p
+    filtered mean       x_t   = x_{t-1} + k_t (z_t - x_{t-1})
+
+The gain never depends on the measurements, so one schedule serves every
+trajectory and class, and the filter acts as a tuned temporal low-pass over
+the classifier output. The Rauch-Tung-Striebel smoother (AIAA J., 1965)
+reduces the same way, to the scalar gain p_t / p_{t+1}^p. A q/r grid search
+rides on top.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class KalmanConfig:
-    """Noise scales and optional matrix overrides.
+    """Noise scales of the identity model; q = r = 0 is rejected.
 
-    With transition/observation left as None both default to identity, and
-    process/measurement noise default to q*I and r*I. r = 0 is legal (full
-    trust in the measurement) but can make the innovation covariance
-    singular when the state covariance degenerates.
+    r = 0 is legal (full trust in the measurement) as long as q > 0, and
+    q = 0 (a static state) as long as r > 0. With both zero the variance
+    collapses to 0 after the first step and the gain becomes 0/0.
     """
 
     dim: int = 4
     q: float = 1e-3
     r: float = 0.1
-    transition: np.ndarray | None = None
-    observation: np.ndarray | None = None
-    process_noise: np.ndarray | None = None
-    measurement_noise: np.ndarray | None = None
     renormalize: bool = True
-    joseph: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.q < 0:
-            raise ValueError("q must be >= 0")
-        if self.r < 0:
-            raise ValueError("r must be >= 0")
-        if self.transition is not None and np.shape(self.transition) != (self.dim, self.dim):
-            raise ValueError(f"transition must be {self.dim}x{self.dim}")
-        if self.observation is not None and np.shape(self.observation)[1] != self.dim:
-            raise ValueError(f"observation must have {self.dim} columns")
-        for name in ("process_noise", "measurement_noise"):
-            m = getattr(self, name)
-            if m is not None:
-                m = np.asarray(m, dtype=np.float64)
-                if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                    raise ValueError(f"{name} must be square")
+        for name in ("q", "r"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if self.q == 0 and self.r == 0:
+            raise ValueError(f"q and r cannot both be zero (q={self.q}, r={self.r})")
 
     @property
     def F(self) -> np.ndarray:
-        if self.transition is None:
-            return np.eye(self.dim)
-        return np.asarray(self.transition, dtype=np.float64)
+        return np.eye(self.dim)
 
     @property
     def H(self) -> np.ndarray:
-        if self.observation is None:
-            return np.eye(self.dim)
-        return np.asarray(self.observation, dtype=np.float64)
-
-    @property
-    def obs_dim(self) -> int:
-        return self.H.shape[0]
+        return np.eye(self.dim)
 
     @property
     def Q(self) -> np.ndarray:
-        if self.process_noise is None:
-            return self.q * np.eye(self.dim)
-        return np.asarray(self.process_noise, dtype=np.float64)
+        return self.q * np.eye(self.dim)
 
     @property
     def R(self) -> np.ndarray:
-        if self.measurement_noise is None:
-            return self.r * np.eye(self.obs_dim)
-        return np.asarray(self.measurement_noise, dtype=np.float64)
-
-
-@dataclass
-class KalmanState:
-    mean: np.ndarray
-    cov: np.ndarray
-
-
-def initial_state(cfg: KalmanConfig) -> KalmanState:
-    """Uninformative start: uniform probabilities, unit covariance."""
-    return KalmanState(mean=np.full(cfg.dim, 1.0 / cfg.dim), cov=np.eye(cfg.dim))
-
-
-def _symmetrize(p: np.ndarray) -> np.ndarray:
-    return 0.5 * (p + p.T)
+        return self.r * np.eye(self.dim)
 
 
 def _renorm_rows(x: np.ndarray, dim: int) -> np.ndarray:
@@ -104,50 +77,59 @@ def _renorm_rows(x: np.ndarray, dim: int) -> np.ndarray:
     return np.where(s > 0.0, x / np.where(s > 0.0, s, 1.0), 1.0 / dim)
 
 
-def predict_step(state: KalmanState, cfg: KalmanConfig) -> KalmanState:
-    f = cfg.F
-    return KalmanState(mean=f @ state.mean, cov=_symmetrize(f @ state.cov @ f.T + cfg.Q))
+def _as_measurements(m, cfg: KalmanConfig) -> np.ndarray:
+    z = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    if z.size == 0:
+        raise ValueError("cannot filter an empty trajectory")
+    if z.ndim != 2 or z.shape[1] != cfg.dim:
+        raise ValueError(f"measurements must be T x {cfg.dim}, got {z.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("measurements must be finite (found NaN or inf)")
+    return z
 
 
-def correct_step(state: KalmanState, z: np.ndarray, cfg: KalmanConfig):
-    """Measurement update; returns (new_state, gain).
+def _filter(arrays: list[np.ndarray], cfg: KalmanConfig):
+    """The one recursion: filtered means of a batch plus the variance schedule.
 
-    The innovation covariance is symmetric positive definite whenever
-    r > 0, so the gain is solved with a Cholesky factorization rather
-    than an explicit inverse.
+    Trajectories are zero-padded to the longest one. Row i of the output is
+    valid up to that trajectory's length; the padded steps past it never
+    feed back into the valid ones. Returns (means (B, T_max, dim),
+    predicted variances (T_max,), filtered variances (T_max,)).
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (cfg.obs_dim,):
-        raise ValueError(f"measurement must have shape ({cfg.obs_dim},), got {z.shape}")
-    h = cfg.H
-    pht = state.cov @ h.T
-    s = h @ pht + cfg.R
-    gain = cho_solve(cho_factor(s, lower=True), pht.T).T
-    mean = state.mean + gain @ (z - h @ state.mean)
-    if cfg.joseph:
-        ikh = np.eye(cfg.dim) - gain @ h
-        cov = ikh @ state.cov @ ikh.T + gain @ cfg.R @ gain.T
-    else:
-        cov = (np.eye(cfg.dim) - gain @ h) @ state.cov
-    if cfg.renormalize:
-        mean = _renorm_rows(mean, cfg.dim)
-    return KalmanState(mean=mean, cov=_symmetrize(cov)), gain
+    t_max = max(a.shape[0] for a in arrays)
+    z = np.zeros((len(arrays), t_max, cfg.dim))
+    for i, a in enumerate(arrays):
+        z[i, : a.shape[0]] = a
+
+    p_pred, gain, p_filt = np.empty(t_max), np.empty(t_max), np.empty(t_max)
+    p = 1.0
+    for t in range(t_max):
+        p_pred[t] = p + cfg.q
+        gain[t] = p_pred[t] / (p_pred[t] + cfg.r)
+        p = p_filt[t] = (1.0 - gain[t]) * p_pred[t]
+
+    x = np.full((len(arrays), cfg.dim), 1.0 / cfg.dim)
+    out = np.empty_like(z)
+    for t in range(t_max):
+        x = x + gain[t] * (z[:, t] - x)
+        if cfg.renormalize:
+            x = _renorm_rows(x, cfg.dim)
+        out[:, t] = x
+    return out, p_pred, p_filt
 
 
 @dataclass
 class SmoothedTrajectory:
     """One trajectory's forward pass: measurements in, filtered states out.
 
-    Predicted means/covariances and per-step gains are retained so the
+    The (T,) predicted and filtered variances are kept so the
     fixed-interval smoother can run from this object alone.
     """
 
     raw: np.ndarray
     filtered: np.ndarray
-    gains: np.ndarray
-    filtered_covs: np.ndarray
-    predicted_means: np.ndarray
-    predicted_covs: np.ndarray
+    predicted_var: np.ndarray
+    filtered_var: np.ndarray
 
     @property
     def n_steps(self) -> int:
@@ -155,115 +137,40 @@ class SmoothedTrajectory:
 
 
 def filter_trajectory(measurements: np.ndarray, cfg: KalmanConfig) -> SmoothedTrajectory:
-    """Run the predict/correct recursion over a (T, obs_dim) sequence.
+    """Filter one (T, dim) sequence.
 
     Causal: row t of the output depends only on measurements 0..t.
     """
-    z = np.atleast_2d(np.asarray(measurements, dtype=np.float64))
-    if z.size == 0:
-        raise ValueError("cannot filter an empty trajectory")
-    if z.shape[1] != cfg.obs_dim:
-        raise ValueError(f"measurements must be T x {cfg.obs_dim}, got {z.shape}")
-    t_steps = z.shape[0]
-
-    fm = np.empty((t_steps, cfg.dim))
-    fc = np.empty((t_steps, cfg.dim, cfg.dim))
-    pm = np.empty((t_steps, cfg.dim))
-    pc = np.empty((t_steps, cfg.dim, cfg.dim))
-    gains = np.empty((t_steps, cfg.dim, cfg.obs_dim))
-
-    state = initial_state(cfg)
-    for t in range(t_steps):
-        pred = predict_step(state, cfg)
-        pm[t], pc[t] = pred.mean, pred.cov
-        state, gains[t] = correct_step(pred, z[t], cfg)
-        fm[t], fc[t] = state.mean, state.cov
-    return SmoothedTrajectory(raw=z.copy(), filtered=fm, gains=gains,
-                              filtered_covs=fc, predicted_means=pm, predicted_covs=pc)
-
-
-def gain_schedule(cfg: KalmanConfig, n_steps: int):
-    """Precompute gains and covariances for n_steps.
-
-    The covariance recursion never touches the measurements, so one schedule
-    serves every trajectory under the same config. Returns (gains,
-    predicted_covs, filtered_covs).
-    """
-    gains = np.empty((n_steps, cfg.dim, cfg.obs_dim))
-    pc = np.empty((n_steps, cfg.dim, cfg.dim))
-    fc = np.empty((n_steps, cfg.dim, cfg.dim))
-    f, h, q, r = cfg.F, cfg.H, cfg.Q, cfg.R
-    eye = np.eye(cfg.dim)
-    p = np.eye(cfg.dim)
-    for t in range(n_steps):
-        p = _symmetrize(f @ p @ f.T + q)
-        pc[t] = p
-        pht = p @ h.T
-        gains[t] = cho_solve(cho_factor(h @ pht + r, lower=True), pht.T).T
-        if cfg.joseph:
-            ikh = eye - gains[t] @ h
-            p = ikh @ p @ ikh.T + gains[t] @ r @ gains[t].T
-        else:
-            p = (eye - gains[t] @ h) @ p
-        p = _symmetrize(p)
-        fc[t] = p
-    return gains, pc, fc
+    z = _as_measurements(measurements, cfg)
+    out, p_pred, p_filt = _filter([z], cfg)
+    return SmoothedTrajectory(raw=z.copy(), filtered=out[0],
+                              predicted_var=p_pred, filtered_var=p_filt)
 
 
 def filter_batch(measurement_list, cfg: KalmanConfig) -> list[np.ndarray]:
     """Filtered means for many trajectories at once.
 
-    Shares one gain schedule across the batch and advances all state vectors
-    per time step, so the cost per step is a handful of small matmuls over
-    the whole batch instead of a Python-level loop per trajectory. Output
-    matches filter_trajectory per trajectory to rounding error.
+    Runs the same recursion as filter_trajectory, advancing the whole batch
+    per time step, so each output equals filter_trajectory's exactly.
     """
-    arrays = [np.atleast_2d(np.asarray(m, dtype=np.float64)) for m in measurement_list]
+    arrays = [_as_measurements(m, cfg) for m in measurement_list]
     if not arrays:
         return []
-    for a in arrays:
-        if a.size == 0:
-            raise ValueError("cannot filter an empty trajectory")
-        if a.shape[1] != cfg.obs_dim:
-            raise ValueError(f"every trajectory must be T x {cfg.obs_dim}, got {a.shape}")
-    lengths = np.array([a.shape[0] for a in arrays])
-    t_max = int(lengths.max())
-
-    gains, _, _ = gain_schedule(cfg, t_max)
-    batch = len(arrays)
-    z = np.zeros((batch, t_max, cfg.obs_dim))
-    for i, a in enumerate(arrays):
-        z[i, : a.shape[0]] = a
-
-    f_t, h_t = cfg.F.T, cfg.H.T
-    x = np.full((batch, cfg.dim), 1.0 / cfg.dim)
-    out = np.zeros((batch, t_max, cfg.dim))
-    for t in range(t_max):
-        x_pred = x @ f_t
-        x_new = x_pred + (z[:, t] - x_pred @ h_t) @ gains[t].T
-        if cfg.renormalize:
-            x_new = _renorm_rows(x_new, cfg.dim)
-        active = t < lengths
-        x = np.where(active[:, None], x_new, x)
-        out[:, t] = x
-    return [out[i, : arrays[i].shape[0]].copy() for i in range(batch)]
+    out, _, _ = _filter(arrays, cfg)
+    return [out[i, : a.shape[0]].copy() for i, a in enumerate(arrays)]
 
 
 def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
     """Backward fixed-interval pass; returns the (T, dim) smoothed means.
 
-    Operates on raw filter quantities (no simplex projection), so the final
-    smoothed step equals the final filtered step exactly.
+    Under F = I the predicted mean at t+1 is the filtered mean at t, and the
+    smoother gain is the scalar filtered_var[t] / predicted_var[t+1]. The
+    final smoothed step equals the final filtered step exactly.
     """
     means = st.filtered.copy()
-    covs = st.filtered_covs.copy()
-    f = cfg.F
+    gain = st.filtered_var[:-1] / st.predicted_var[1:]
     for t in range(st.n_steps - 2, -1, -1):
-        p_pred = st.predicted_covs[t + 1]
-        # C = P_f F' P_pred^{-1}, solved against the SPD predicted covariance
-        c = cho_solve(cho_factor(p_pred, lower=True), f @ st.filtered_covs[t]).T
-        means[t] = st.filtered[t] + c @ (means[t + 1] - st.predicted_means[t + 1])
-        covs[t] = _symmetrize(st.filtered_covs[t] + c @ (covs[t + 1] - p_pred) @ c.T)
+        means[t] = st.filtered[t] + gain[t] * (means[t + 1] - st.filtered[t])
     return means
 
 
@@ -310,7 +217,7 @@ def tune_qr_ratio(measurement_list, labels, cfg: KalmanConfig,
     accuracies = {}
     best_ratio, best_acc = None, -1.0
     for ratio in sorted(ratios):
-        cand = replace(cfg, q=ratio * cfg.r, process_noise=None)
+        cand = replace(cfg, q=ratio * cfg.r)
         filtered = filter_batch(measurement_list, cand)
         preds = np.array([fuse_utterance(m)[0] for m in filtered])
         acc = float(np.mean(preds == labels))

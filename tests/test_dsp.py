@@ -132,6 +132,14 @@ class TestResample:
         # 1 s of audio: bin index is frequency in Hz
         assert abs(int(np.argmax(spectrum)) - 440) <= 1
 
+    def test_unit_gain_at_real_rates(self):
+        for src, dst in [(48000, 22050), (44100, 16000)]:
+            t = np.arange(src) / src
+            clip = AudioClip(0.5 * np.sin(2 * np.pi * 440.0 * t), src)
+            out = resample(clip, dst)
+            gain = np.sqrt(np.mean(out.samples ** 2) / np.mean(clip.samples ** 2))
+            assert 0.95 <= gain <= 1.05, f"{src} -> {dst}: gain {gain:.3f}"
+
     def test_duration_within_one_period(self, rng):
         clip = AudioClip(rng.normal(size=33077), 44100)
         out = resample(clip, 16000)

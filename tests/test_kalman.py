@@ -6,13 +6,8 @@ from hypothesis.extra import numpy as hnp
 
 from kftser import (
     KalmanConfig,
-    KalmanState,
-    correct_step,
     filter_batch,
     filter_trajectory,
-    gain_schedule,
-    initial_state,
-    predict_step,
     rts_smooth,
     synth_noisy_trajectories,
     tune_qr_ratio,
@@ -42,6 +37,26 @@ def _naive_filter(z, cfg):
     return out
 
 
+def _naive_smoother(z, cfg):
+    """Textbook matrix Rauch-Tung-Striebel pass with explicit inverses."""
+    f, h, q, r = cfg.F, cfg.H, cfg.Q, cfg.R
+    x, p = np.full(cfg.dim, 1.0 / cfg.dim), np.eye(cfg.dim)
+    xp, pp, xf, pf = [], [], [], []
+    for t in range(z.shape[0]):
+        x, p = f @ x, f @ p @ f.T + q
+        xp.append(x)
+        pp.append(p)
+        k = p @ h.T @ np.linalg.inv(h @ p @ h.T + r)
+        x, p = x + k @ (z[t] - h @ x), (np.eye(cfg.dim) - k @ h) @ p
+        xf.append(x)
+        pf.append(p)
+    xs = np.array(xf)
+    for t in range(len(xf) - 2, -1, -1):
+        c = pf[t] @ f.T @ np.linalg.inv(pp[t + 1])
+        xs[t] = xf[t] + c @ (xs[t + 1] - xp[t + 1])
+    return xs
+
+
 class TestAgainstNaiveRecursion:
     def test_random_cases_both_dims(self):
         rng = np.random.default_rng(42)
@@ -58,61 +73,32 @@ class TestAgainstNaiveRecursion:
             want = _naive_filter(z, cfg)
             assert np.max(np.abs(got - want)) < 1e-10
 
-    def test_non_identity_transition(self):
-        rng = np.random.default_rng(7)
-        f = np.eye(4) + 0.05 * rng.normal(size=(4, 4))
-        cfg = KalmanConfig(dim=4, q=0.01, r=0.2, transition=f, renormalize=False)
-        z = rng.uniform(0.0, 1.0, size=(10, 4))
-        got = filter_trajectory(z, cfg).filtered
-        assert np.max(np.abs(got - _naive_filter(z, cfg))) < 1e-9
-
 
 class TestSingleSteps:
     def test_initial_state_is_uninformative(self):
-        st0 = initial_state(KalmanConfig())
-        np.testing.assert_array_equal(st0.mean, np.full(4, 0.25))
-        np.testing.assert_array_equal(st0.cov, np.eye(4))
+        # the prior mean is uniform, so a uniform measurement changes nothing
+        for dim in (1, 4):
+            z = np.full((3, dim), 1.0 / dim)
+            out = filter_trajectory(z, KalmanConfig(dim=dim, renormalize=False)).filtered
+            np.testing.assert_array_equal(out, z)
 
-    def test_predict_identity_no_noise_is_a_fixed_point(self):
-        cfg = KalmanConfig(dim=4, q=0.0)
-        st0 = initial_state(cfg)
-        pred = predict_step(st0, cfg)
-        np.testing.assert_array_equal(pred.mean, st0.mean)
-        np.testing.assert_array_equal(pred.cov, st0.cov)
+    def test_predict_identity_no_noise_is_a_fixed_point(self, rng):
+        traj = filter_trajectory(rng.uniform(0, 1, size=(5, 4)), KalmanConfig(q=0.0))
+        assert traj.predicted_var[0] == 1.0
+        np.testing.assert_array_equal(traj.predicted_var[1:], traj.filtered_var[:-1])
 
-    def test_predict_adds_process_noise(self):
-        cfg = KalmanConfig(dim=4, q=0.01)
-        pred = predict_step(initial_state(cfg), cfg)
-        np.testing.assert_allclose(pred.cov, 1.01 * np.eye(4), atol=1e-15)
-
-    def test_predict_scalar_with_transition(self):
-        cfg = KalmanConfig(dim=1, q=0.0, transition=np.array([[2.0]]),
-                           process_noise=np.array([[0.5]]))
-        state = KalmanState(mean=np.array([3.0]), cov=np.array([[1.0]]))
-        pred = predict_step(state, cfg)
-        assert pred.mean[0] == 6.0
-        assert pred.cov[0, 0] == 4.5
+    def test_predict_adds_process_noise(self, rng):
+        traj = filter_trajectory(rng.uniform(0, 1, size=(5, 4)), KalmanConfig(q=0.01))
+        assert traj.predicted_var[0] == pytest.approx(1.01, abs=1e-15)
+        np.testing.assert_allclose(traj.predicted_var[1:], traj.filtered_var[:-1] + 0.01,
+                                   rtol=0, atol=1e-15)
 
     def test_correct_scalar_halves_the_innovation(self):
-        cfg = KalmanConfig(dim=1, q=0.0, r=1.0, renormalize=False)
-        state = KalmanState(mean=np.array([0.0]), cov=np.array([[1.0]]))
-        new, gain = correct_step(state, np.array([1.0]), cfg)
-        assert np.isclose(gain[0, 0], 0.5, atol=1e-12)
-        assert np.isclose(new.mean[0], 0.5, atol=1e-12)
-        assert np.isclose(new.cov[0, 0], 0.5, atol=1e-12)
-
-    def test_correct_rejects_wrong_measurement_shape(self):
-        cfg = KalmanConfig()
-        with pytest.raises(ValueError):
-            correct_step(initial_state(cfg), np.ones(3), cfg)
-
-    def test_single_step_trajectory_is_one_predict_correct(self):
-        cfg = KalmanConfig()
-        z = np.array([[0.7, 0.1, 0.1, 0.1]])
-        st_traj = filter_trajectory(z, cfg)
-        manual, gain = correct_step(predict_step(initial_state(cfg), cfg), z[0], cfg)
-        np.testing.assert_array_equal(st_traj.filtered[0], manual.mean)
-        np.testing.assert_array_equal(st_traj.gains[0], gain)
+        cfg = KalmanConfig(dim=2, q=0.0, r=1.0, renormalize=False)
+        traj = filter_trajectory(np.array([[1.0, 0.0]]), cfg)
+        # gain = predicted / (predicted + r) = 1/2 from the unit prior variance
+        np.testing.assert_allclose(traj.filtered[0], [0.75, 0.25], atol=1e-12)
+        assert np.isclose(traj.filtered_var[0], 0.5, atol=1e-12)
 
 
 class TestNoiseExtremes:
@@ -145,12 +131,12 @@ class TestTrajectoryProperties:
             np.testing.assert_array_equal(filter_trajectory(z[:k], cfg).filtered, full[:k])
 
     def test_covariances_stay_symmetric_positive(self, rng):
+        # every covariance is var * I: symmetric by construction, positive iff var > 0
         cfg = KalmanConfig(q=0.05, r=0.3)
         traj = filter_trajectory(rng.uniform(0, 1, size=(50, 4)), cfg)
-        for covs in (traj.filtered_covs, traj.predicted_covs):
-            assert np.array_equal(covs, np.transpose(covs, (0, 2, 1)))
-            for c in covs:
-                assert np.min(np.linalg.eigvalsh(c)) > -1e-10
+        assert traj.predicted_var.shape == traj.filtered_var.shape == (50,)
+        assert np.all(traj.filtered_var > 0.0)
+        assert np.all(traj.filtered_var < traj.predicted_var)
 
     def test_empty_and_misshapen_input_rejected(self):
         cfg = KalmanConfig()
@@ -158,6 +144,11 @@ class TestTrajectoryProperties:
             filter_trajectory(np.empty((0, 4)), cfg)
         with pytest.raises(ValueError):
             filter_trajectory(np.ones((5, 3)), cfg)
+        for bad in (np.nan, np.inf, -np.inf):
+            z = np.full((5, 4), 0.25)
+            z[2, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                filter_trajectory(z, cfg)
 
     @given(
         z=hnp.arrays(
@@ -175,21 +166,13 @@ class TestTrajectoryProperties:
 
 
 class TestGainSchedule:
-    def test_matches_filter_trajectory_gains(self, rng):
-        cfg = KalmanConfig(q=0.02, r=0.4)
-        z = rng.uniform(0, 1, size=(25, 4))
-        traj = filter_trajectory(z, cfg)
-        gains, pc, fc = gain_schedule(cfg, 25)
-        np.testing.assert_array_equal(gains, traj.gains)
-        np.testing.assert_array_equal(pc, traj.predicted_covs)
-        np.testing.assert_array_equal(fc, traj.filtered_covs)
-
     def test_steady_state_gain_shrinks_with_measurement_noise(self):
-        diag_gain = []
+        z = np.full((300, 4), 0.25)
+        gain = []
         for r in (0.01, 0.1, 1.0, 10.0):
-            gains, _, _ = gain_schedule(KalmanConfig(q=1e-3, r=r), 300)
-            diag_gain.append(np.mean(np.diag(gains[-1])))
-        assert all(b < a for a, b in zip(diag_gain, diag_gain[1:]))
+            traj = filter_trajectory(z, KalmanConfig(q=1e-3, r=r))
+            gain.append(traj.filtered_var[-1] / r)  # k = p_filtered / r
+        assert all(b < a for a, b in zip(gain, gain[1:]))
 
 
 class TestFilterBatch:
@@ -201,16 +184,26 @@ class TestFilterBatch:
             for z, got in zip(trajs, batched):
                 want = filter_trajectory(z, cfg).filtered
                 assert got.shape == want.shape
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(got, want)
 
     def test_empty_batch_and_empty_trajectory(self):
         cfg = KalmanConfig()
         assert filter_batch([], cfg) == []
         with pytest.raises(ValueError):
             filter_batch([np.ones((3, 4)), np.empty((0, 4))], cfg)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                filter_batch([np.ones((3, 4)), np.full((2, 4), bad)], cfg)
 
 
 class TestRtsSmoother:
+    def test_matches_naive_matrix_smoother(self, rng):
+        for q, r in ((1e-3, 0.1), (0.05, 0.3), (0.0, 1.0), (0.2, 0.0)):
+            cfg = KalmanConfig(q=q, r=r, renormalize=False)
+            z = rng.uniform(0, 1, size=(25, 4))
+            got = rts_smooth(filter_trajectory(z, cfg), cfg)
+            np.testing.assert_allclose(got, _naive_smoother(z, cfg), rtol=0, atol=1e-10)
+
     def test_last_smoothed_equals_last_filtered(self, rng):
         cfg = KalmanConfig(renormalize=False)
         traj = filter_trajectory(rng.uniform(0, 1, size=(30, 4)), cfg)
@@ -280,12 +273,15 @@ class TestConfigAndCsv:
             KalmanConfig(q=-1e-9)
         with pytest.raises(ValueError):
             KalmanConfig(r=-0.1)
-        with pytest.raises(ValueError):
-            KalmanConfig(dim=4, transition=np.eye(3))
-        with pytest.raises(ValueError):
-            KalmanConfig(dim=4, observation=np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            KalmanConfig(process_noise=np.ones((2, 3)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                KalmanConfig(q=bad)
+            with pytest.raises(ValueError, match="finite"):
+                KalmanConfig(r=bad)
+        with pytest.raises(ValueError, match=r"q=0\.0, r=0\.0"):
+            KalmanConfig(q=0.0, r=0.0)
+        KalmanConfig(q=0.0, r=0.1)
+        KalmanConfig(q=1e-3, r=0.0)
 
     def test_default_matrices(self):
         cfg = KalmanConfig(dim=3, q=0.5, r=2.0)
@@ -293,7 +289,6 @@ class TestConfigAndCsv:
         np.testing.assert_array_equal(cfg.H, np.eye(3))
         np.testing.assert_array_equal(cfg.Q, 0.5 * np.eye(3))
         np.testing.assert_array_equal(cfg.R, 2.0 * np.eye(3))
-        assert cfg.obs_dim == 3
 
     def test_trajectory_csv_layout(self, tmp_path, rng):
         traj = filter_trajectory(rng.dirichlet(np.ones(4), size=6), KalmanConfig())
