@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .features import N_MFCC
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,12 @@ class PipelineConfig:
     renormalize: bool = True
     fusion: str = "mean"
     seed: int = 0
+
+    def __post_init__(self):
+        if self.n_mfcc != N_MFCC:
+            raise ConfigError(
+                f"n_mfcc is fixed at {N_MFCC} (the 41-column feature layout), got {self.n_mfcc}"
+            )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":

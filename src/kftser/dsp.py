@@ -5,6 +5,7 @@ Every function here is pure; clips are never mutated in place.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import wave
@@ -142,10 +143,17 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         return clip
     g = math.gcd(clip.sample_rate, target_rate)
     up, down = target_rate // g, clip.sample_rate // g
+    out = sps.resample_poly(clip.samples, up, down, window=_resample_kernel(up, down))
+    return AudioClip(out, target_rate)
+
+
+@functools.lru_cache(maxsize=8)
+def _resample_kernel(up: int, down: int) -> np.ndarray:
+    """The anti-aliasing FIR for one up/down pair, built once and shared read-only."""
     half = (64 * max(up, down)) // 2
     kernel = sps.firwin(2 * half + 1, 1.0 / max(up, down), window=("kaiser", 8.6))
-    out = sps.resample_poly(clip.samples, up, down, window=kernel)
-    return AudioClip(out, target_rate)
+    kernel.setflags(write=False)
+    return kernel
 
 
 def _frame_rms(samples: np.ndarray, cfg: FramingConfig) -> np.ndarray:

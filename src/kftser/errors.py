@@ -9,6 +9,10 @@ class DecodeError(KftserError):
     """WAV container or codec problem; message carries the byte offset."""
 
 
+class FeatureFileError(KftserError):
+    """A .feat file has a bad magic, a truncated header or payload, or the wrong width."""
+
+
 class CheckpointError(KftserError):
     """Model checkpoint is missing, corrupt, or from an unknown version."""
 

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.fft import dct
 
 from .dsp import AudioClip, FramingConfig, frame_signal
+from .errors import FeatureFileError
 
 N_MFCC = 13
 FEATURE_COLUMNS = tuple(
@@ -98,21 +99,29 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def mel_energies(frame: np.ndarray, fb: MelFilterbank) -> np.ndarray:
-    """Hann-windowed power spectrum folded through the filterbank."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if len(frame) != fb.n_fft:
-        raise ValueError(f"frame length {len(frame)} != filterbank n_fft {fb.n_fft}")
-    spectrum = np.fft.rfft(frame * _hann(fb.n_fft))
+def mel_energies(frames: np.ndarray, fb: MelFilterbank) -> np.ndarray:
+    """Hann-windowed power spectra folded through the filterbank.
+
+    frames is one (n_fft,) frame or a (T, n_fft) block; frames run along
+    the last axis and the result has shape (..., n_filters).
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim not in (1, 2) or frames.shape[-1] != fb.n_fft:
+        raise ValueError(f"frames of shape {frames.shape} do not end in filterbank n_fft {fb.n_fft}")
+    spectrum = np.fft.rfft(frames * _hann(fb.n_fft), axis=-1)
     power = spectrum.real**2 + spectrum.imag**2
-    return fb.filters @ power
+    # One matrix-vector product per frame: a single (T, n_bins) @ (n_bins,
+    # n_filters) product sums in a different order and changes feature bits.
+    return np.matmul(fb.filters, power[..., None])[..., 0]
 
 
-def compute_mfcc(frame: np.ndarray, fb: MelFilterbank,
+def compute_mfcc(frames: np.ndarray, fb: MelFilterbank,
                  n_mfcc: int = N_MFCC, log_floor: float = 1e-10) -> np.ndarray:
-    """First n_mfcc coefficients of the orthonormal DCT-II of the log mel energies."""
-    logged = np.log(mel_energies(frame, fb) + log_floor)
-    return dct(logged, type=2, norm="ortho")[:n_mfcc]
+    """First n_mfcc coefficients of the orthonormal DCT-II of the log mel
+    energies, per frame along the last axis (see mel_energies).
+    """
+    logged = np.log(mel_energies(frames, fb) + log_floor)
+    return dct(logged, type=2, norm="ortho", axis=-1)[..., :n_mfcc]
 
 
 def compute_delta(coeffs: np.ndarray, width: int = 9) -> np.ndarray:
@@ -184,7 +193,7 @@ def extract_features(
         raise ValueError(f"frame_length {cfg.frame_length} != filterbank n_fft {fb.n_fft}")
 
     frames = frame_signal(clip, cfg)
-    mfcc = np.stack([compute_mfcc(f, fb, log_floor=log_floor) for f in frames])
+    mfcc = compute_mfcc(frames, fb, log_floor=log_floor)
     delta = compute_delta(mfcc, delta_width)
     deltadelta = compute_delta(delta, delta_width)
     rmse = np.sqrt(np.mean(frames * frames, axis=1))
@@ -227,11 +236,15 @@ def save_features(fm: FeatureMatrix, path: str | Path) -> None:
 def load_features(path: str | Path, utterance_id: str | None = None) -> FeatureMatrix:
     raw = Path(path).read_bytes()
     if raw[: len(FEATURE_FILE_MAGIC)] != FEATURE_FILE_MAGIC:
-        raise ValueError(f"{path}: bad feature-file magic")
+        raise FeatureFileError(f"{path}: bad feature-file magic")
+    if len(raw) < len(FEATURE_FILE_MAGIC) + 8:
+        raise FeatureFileError(f"{path}: truncated feature-file header")
     t, c = struct.unpack_from("<II", raw, len(FEATURE_FILE_MAGIC))
+    if c != N_FEATURES:
+        raise FeatureFileError(f"{path}: {c} columns per row, expected {N_FEATURES}")
     body = raw[len(FEATURE_FILE_MAGIC) + 8 :]
     if len(body) != t * c * 8:
-        raise ValueError(f"{path}: expected {t * c * 8} payload bytes, found {len(body)}")
+        raise FeatureFileError(f"{path}: expected {t * c * 8} payload bytes, found {len(body)}")
     rows = np.frombuffer(body, dtype="<f8").reshape(t, c)
     if utterance_id is None:
         utterance_id = Path(path).stem

@@ -156,11 +156,17 @@ def backward(model: MlpModel, activations: list[np.ndarray],
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter tensor."""
+    """First/second moment accumulators, one pair per parameter tensor, plus
+    two scratch buffers per parameter so a step allocates no arrays.
+    """
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = [(np.empty_like(m), np.empty_like(m)) for m in self.m]
 
     @classmethod
     def for_model(cls, model: MlpModel) -> "AdamState":
@@ -170,17 +176,31 @@ class AdamState:
 
 
 def adam_step(model: MlpModel, grads_w, grads_b, state: AdamState, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place.
+
+    The operations run in the order of the textbook expression
+    p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), so the
+    result is bit-identical to evaluating it with temporaries.
+    """
     state.step += 1
     t = state.step
     params = model.weights + model.biases
     grads = list(grads_w) + list(grads_b)
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = cfg.beta1 * state.m[i] + (1.0 - cfg.beta1) * g
-        state.v[i] = cfg.beta2 * state.v[i] + (1.0 - cfg.beta2) * g * g
-        m_hat = state.m[i] / (1.0 - cfg.beta1**t)
-        v_hat = state.v[i] / (1.0 - cfg.beta2**t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
+        np.multiply(1.0 - cfg.beta1, g, out=a)
+        m *= cfg.beta1
+        m += a
+        np.multiply(1.0 - cfg.beta2, g, out=a)
+        a *= g
+        v *= cfg.beta2
+        v += a
+        np.divide(m, 1.0 - cfg.beta1**t, out=a)
+        a *= cfg.learning_rate
+        np.divide(v, 1.0 - cfg.beta2**t, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.epsilon
+        a /= b
+        p -= a
 
 
 def train(model: MlpModel, rows: np.ndarray, labels: np.ndarray,

@@ -195,6 +195,19 @@ class TestEvaluate:
         assert rc == 1
         assert "magic" in capsys.readouterr().err
 
+    def test_truncated_feature_file_is_a_runtime_error(self, cli_ws, tmp_path, capsys):
+        features = tmp_path / "features"
+        shutil.copytree(cli_ws["features"], features)
+        manifest = Manifest.load(cli_ws["manifest"])
+        victim = features / f"{manifest.test_indices[0]:05d}.feat"
+        victim.write_bytes(victim.read_bytes()[:-8])
+        rc = main(["evaluate", str(cli_ws["manifest"]), "--features", str(features),
+                   "--checkpoint", str(cli_ws["ckpt"]), "--out-dir", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "payload" in err
+        assert "Traceback" not in err
+
     def test_foreign_class_order_is_rejected(self, cli_ws, tmp_path, capsys):
         other = init_model((41, 8, 4), seed=0, class_order=("w", "x", "y", "z"))
         path = tmp_path / "other.ckpt"
@@ -269,6 +282,38 @@ class TestLoggingEnv:
         assert "unknown KFTSER_LOG" in capsys.readouterr().err
 
 
+def _child_env(**extra):
+    # An absolute path to the imported package, so the child finds it from any cwd.
+    env = dict(os.environ, **extra)
+    src = str(Path(kftser.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    assert main(["synth", "--out-dir", str(tmp_path / "audio"), "--out",
+                 str(tmp_path / "manifest.json"), "--per-class", "3", "--seed", "5",
+                 "--test-fraction", "0.25"]) == 0
+    script = ("import sys; from kftser.cli import main; m = sys.argv[1]; "
+              "assert main(['extract', m, '--out-dir', 'features']) == 0; "
+              "assert main(['train', m, '--features', 'features', '--out', 'model.ckpt', "
+              "'--epochs', '2', '--seed', '5']) == 0")
+    runs = {}
+    for threads in ("1", "2"):
+        root = tmp_path / f"threads{threads}"
+        root.mkdir()
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "manifest.json")],
+                              capture_output=True, text=True, cwd=root,
+                              env=_child_env(OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = {p.relative_to(root).as_posix(): p.read_bytes()
+                         for p in sorted(root.glob("features/*.feat")) + [root / "model.ckpt"]}
+    assert len(runs["1"]) == 13
+    assert runs["1"].keys() == runs["2"].keys()
+    differing = [name for name in runs["1"] if runs["1"][name] != runs["2"][name]]
+    assert not differing, f"bytes differ between 1 and 2 BLAS threads: {differing}"
+
+
 def _assert_help(proc):
     assert proc.returncode == 0, proc.stderr
     assert "manifest" in proc.stdout
@@ -276,10 +321,7 @@ def _assert_help(proc):
 
 
 def test_console_script_and_module_entry(tmp_path):
-    # An absolute path to the imported package, so the child finds it from any cwd.
-    env = dict(os.environ)
-    src = str(Path(kftser.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _child_env()
     _assert_help(subprocess.run([sys.executable, "-m", "kftser", "--help"],
                                 capture_output=True, text=True, env=env, cwd=tmp_path))
 

@@ -31,6 +31,14 @@ def test_unknown_keys_rejected():
         PipelineConfig.from_dict({"learning_rte": 0.1})
 
 
+def test_n_mfcc_other_than_13_rejected():
+    with pytest.raises(ConfigError, match="n_mfcc is fixed at 13"):
+        PipelineConfig.from_dict({"n_mfcc": 20})
+    with pytest.raises(ConfigError, match="n_mfcc"):
+        PipelineConfig().with_overrides(n_mfcc=12)
+    assert PipelineConfig.from_dict({"n_mfcc": 13}) == PipelineConfig()
+
+
 def test_file_round_trip_is_lossless(tmp_path):
     cfg = PipelineConfig(sample_rate=16000, epochs=7, fusion="max", seed=42)
     path = tmp_path / "cfg.json"

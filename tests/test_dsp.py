@@ -17,6 +17,7 @@ from kftser import (
     trim_silence,
     write_wav,
 )
+from kftser.dsp import _resample_kernel
 
 
 def _wav_bytes(fmt_tag, channels, rate, bits, payload, extra_chunks=(), data_size=None):
@@ -139,6 +140,14 @@ class TestResample:
             out = resample(clip, dst)
             gain = np.sqrt(np.mean(out.samples ** 2) / np.mean(clip.samples ** 2))
             assert 0.95 <= gain <= 1.05, f"{src} -> {dst}: gain {gain:.3f}"
+
+    def test_kernel_is_built_once_and_read_only(self):
+        first = _resample_kernel(147, 320)  # 48 kHz -> 22,050 Hz
+        assert len(first) == 64 * 320 + 1
+        assert _resample_kernel(147, 320) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
 
     def test_duration_within_one_period(self, rng):
         clip = AudioClip(rng.normal(size=33077), 44100)

@@ -23,6 +23,8 @@ from kftser import (
     mel_to_hz,
     save_features,
 )
+from kftser.dsp import resample
+from kftser.errors import FeatureFileError
 from kftser.features import FEATURE_COLUMNS, N_FEATURES, mel_energies, save_features_csv
 
 
@@ -111,8 +113,22 @@ class TestMfcc:
 
     def test_frame_length_mismatch(self):
         fb = build_mel_filterbank()
-        with pytest.raises(ValueError):
-            compute_mfcc(np.zeros(1024), fb)
+        for bad in (np.zeros(1024), np.zeros((5, 1024)), np.zeros((5, 2049)), np.zeros((2048, 5))):
+            with pytest.raises(ValueError, match="n_fft"):
+                compute_mfcc(bad, fb)
+            with pytest.raises(ValueError, match="n_fft"):
+                mel_energies(bad, fb)
+
+    def test_block_equals_stack_of_rows(self, rng):
+        fb = build_mel_filterbank()
+        frames = rng.normal(size=(37, 2048))
+        frames[3] = 0.0
+        block_mel = mel_energies(frames, fb)
+        block_mfcc = compute_mfcc(frames, fb)
+        assert block_mel.shape == (37, 40)
+        assert block_mfcc.shape == (37, 13)
+        np.testing.assert_array_equal(block_mel, np.stack([mel_energies(f, fb) for f in frames]))
+        np.testing.assert_array_equal(block_mfcc, np.stack([compute_mfcc(f, fb) for f in frames]))
 
 
 class TestDelta:
@@ -204,18 +220,28 @@ class TestExtractFeatures:
         assert fm.rows.shape == (44, 41)
         assert fm.n_frames == 44
 
-    def test_column_layout_matches_helpers(self, rng):
-        cfg, fb = FramingConfig(), build_mel_filterbank()
-        clip = AudioClip(rng.normal(size=6000) * 0.3, 22050)
+    @staticmethod
+    def _assert_rows_match_helpers(clip, cfg, fb):
         fm = extract_features(clip, cfg, fb)
         frames = frame_signal(clip, cfg)
-        for t in (0, fm.n_frames - 1):
+        assert fm.n_frames == len(frames)
+        for t in range(fm.n_frames):
             np.testing.assert_array_equal(fm.rows[t, :13], compute_mfcc(frames[t], fb))
             assert fm.rows[t, -2] == compute_rmse(frames[t])
             assert fm.rows[t, -1] == compute_zcr(frames[t])
         mfcc = fm.rows[:, :13]
         np.testing.assert_array_equal(fm.rows[:, 13:26], compute_delta(mfcc))
         np.testing.assert_array_equal(fm.rows[:, 26:39], compute_delta(compute_delta(mfcc)))
+
+    def test_column_layout_matches_helpers(self, rng):
+        clip = AudioClip(rng.normal(size=6000) * 0.3, 22050)
+        self._assert_rows_match_helpers(clip, FramingConfig(), build_mel_filterbank())
+
+    def test_resampled_48k_rows_match_per_frame_helpers(self, rng):
+        t = np.arange(int(48000 * 1.5)) / 48000
+        tone = 0.4 * np.sin(2 * np.pi * 330.0 * t) + 0.02 * rng.normal(size=len(t))
+        clip = resample(AudioClip(tone, 48000), 22050)
+        self._assert_rows_match_helpers(clip, FramingConfig(), build_mel_filterbank())
 
     def test_silence_has_zero_energy_and_crossings(self):
         clip = AudioClip(np.zeros(4096), 22050)
@@ -286,7 +312,7 @@ class TestFeatureIo:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.feat"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(FeatureFileError, match="magic"):
             load_features(path)
 
     def test_truncated_payload_rejected(self, tmp_path, rng):
@@ -294,7 +320,19 @@ class TestFeatureIo:
         path = tmp_path / "x.feat"
         save_features(fm, path)
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="payload"):
+        with pytest.raises(FeatureFileError, match="payload"):
+            load_features(path)
+
+    def test_truncated_header_and_wrong_width_rejected(self, tmp_path):
+        path = tmp_path / "x.feat"
+        path.write_bytes(b"KFTSER01\x01\x00")
+        with pytest.raises(FeatureFileError, match="header"):
+            load_features(path)
+        save_features(FeatureMatrix(rows=np.zeros((2, N_FEATURES))), path)
+        raw = bytearray(path.read_bytes())
+        raw[12:16] = (40).to_bytes(4, "little")
+        path.write_bytes(bytes(raw[: 16 + 2 * 40 * 8]))
+        with pytest.raises(FeatureFileError, match="40 columns"):
             load_features(path)
 
     def test_csv_header(self, tmp_path, rng):

@@ -194,6 +194,27 @@ class TestAdam:
             p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
             assert np.isclose(model.weights[0][0, 0], p, atol=1e-15)
 
+    def test_in_place_update_is_bit_identical_to_the_expression(self, rng):
+        cfg = TrainConfig(learning_rate=3e-3)
+        model = init_model((5, 7, 3), seed=2, class_order=("a", "b", "c"))
+        params = [p.copy() for p in model.weights + model.biases]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        state = AdamState.for_model(model)
+        for t in range(1, 5):
+            grads = [rng.normal(size=p.shape) for p in params]
+            adam_step(model, grads[:2], grads[2:], state, cfg)
+            for i, g in enumerate(grads):
+                m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g
+                v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * g * g
+                m_hat = m[i] / (1.0 - cfg.beta1**t)
+                v_hat = v[i] / (1.0 - cfg.beta2**t)
+                params[i] = params[i] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        for got, want in zip(model.weights + model.biases, params):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(state.m + state.v, m + v):
+            assert got.tobytes() == want.tobytes()
+
 
 def _blobs(rng, n_per_class=30, spread=0.25):
     centers = np.array([[4.0, 0.0], [0.0, 4.0], [-4.0, 0.0], [0.0, -4.0]])
