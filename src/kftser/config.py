@@ -14,7 +14,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .evaluation import FUSION_RULES
 from .features import N_MFCC
+
+# JSON value types accepted per annotated field type; bools are never numbers here
+_ACCEPTED = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 @dataclass(frozen=True)
@@ -42,10 +46,25 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if (not isinstance(value, _ACCEPTED[f.type])
+                    or (isinstance(value, bool) and f.type != "bool")):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.n_mfcc != N_MFCC:
             raise ConfigError(
                 f"n_mfcc is fixed at {N_MFCC} (the 41-column feature layout), got {self.n_mfcc}"
             )
+        if self.fusion not in FUSION_RULES:
+            raise ConfigError(f"fusion must be one of {FUSION_RULES}, got {self.fusion!r}")
+        from . import pipeline  # imports this module, so not at the top
+
+        try:
+            pipeline.framing_config(self)
+            pipeline.train_config(self)
+            pipeline.kalman_config(self)
+        except ValueError as exc:
+            raise ConfigError(f"invalid config: {exc}") from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":

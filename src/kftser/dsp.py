@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import DecodeError
 
@@ -141,17 +140,22 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     if clip.sample_rate == target_rate:
         return clip
+    # scipy.signal is most of the cost of importing kftser, and only resampling uses it
+    from scipy.signal import resample_poly
+
     g = math.gcd(clip.sample_rate, target_rate)
     up, down = target_rate // g, clip.sample_rate // g
-    out = sps.resample_poly(clip.samples, up, down, window=_resample_kernel(up, down))
+    out = resample_poly(clip.samples, up, down, window=_resample_kernel(up, down))
     return AudioClip(out, target_rate)
 
 
 @functools.lru_cache(maxsize=8)
 def _resample_kernel(up: int, down: int) -> np.ndarray:
     """The anti-aliasing FIR for one up/down pair, built once and shared read-only."""
+    from scipy.signal import firwin
+
     half = (64 * max(up, down)) // 2
-    kernel = sps.firwin(2 * half + 1, 1.0 / max(up, down), window=("kaiser", 8.6))
+    kernel = firwin(2 * half + 1, 1.0 / max(up, down), window=("kaiser", 8.6))
     kernel.setflags(write=False)
     return kernel
 

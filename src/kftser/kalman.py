@@ -16,7 +16,7 @@ The gain never depends on the measurements, so one schedule serves every
 trajectory and class, and the filter acts as a tuned temporal low-pass over
 the classifier output. The Rauch-Tung-Striebel smoother (AIAA J., 1965)
 reduces the same way, to the scalar gain p_t / p_{t+1}^p. A q/r grid search
-rides on top.
+rides on top; it filters every candidate q in the same pass.
 """
 
 from __future__ import annotations
@@ -88,33 +88,62 @@ def _as_measurements(m, cfg: KalmanConfig) -> np.ndarray:
     return z
 
 
-def _filter(arrays: list[np.ndarray], cfg: KalmanConfig):
-    """The one recursion: filtered means of a batch plus the variance schedule.
-
-    Trajectories are zero-padded to the longest one. Row i of the output is
-    valid up to that trajectory's length; the padded steps past it never
-    feed back into the valid ones. Returns (means (B, T_max, dim),
-    predicted variances (T_max,), filtered variances (T_max,)).
-    """
-    t_max = max(a.shape[0] for a in arrays)
-    z = np.zeros((len(arrays), t_max, cfg.dim))
-    for i, a in enumerate(arrays):
-        z[i, : a.shape[0]] = a
-
-    p_pred, gain, p_filt = np.empty(t_max), np.empty(t_max), np.empty(t_max)
+def _schedule(q: float, r: float, t_max: int):
+    """Predicted variance, gain and filtered variance for steps 0..t_max-1."""
+    p_pred, gain, p_filt = [], [], []
     p = 1.0
-    for t in range(t_max):
-        p_pred[t] = p + cfg.q
-        gain[t] = p_pred[t] / (p_pred[t] + cfg.r)
-        p = p_filt[t] = (1.0 - gain[t]) * p_pred[t]
+    for _ in range(t_max):
+        pp = p + q
+        k = pp / (pp + r)
+        p = (1.0 - k) * pp
+        p_pred.append(pp)
+        gain.append(k)
+        p_filt.append(p)
+    return p_pred, gain, p_filt
 
-    x = np.full((len(arrays), cfg.dim), 1.0 / cfg.dim)
-    out = np.empty_like(z)
-    for t in range(t_max):
-        x = x + gain[t] * (z[:, t] - x)
+
+def _filter(arrays: list[np.ndarray], cfg: KalmanConfig, qs=None):
+    """The one recursion: filtered means of a batch under one or more q values.
+
+    Measurements are zero-padded to the longest trajectory and laid out
+    time-major, (T_max, B, dim). Each q in qs (default: cfg.q) gets its own
+    scalar schedule and its own (B, dim) slice of the state; the measurements
+    broadcast across the q axis. Each step writes straight into its output
+    row through preallocated buffers. Row b of the output is valid up to
+    that trajectory's length; padded steps never feed back into valid ones.
+    Returns (means (T_max, n_q, B, dim), predicted variances (n_q, T_max),
+    filtered variances (n_q, T_max)).
+    """
+    qs = [cfg.q] if qs is None else list(qs)
+    t_max, batch, dim = max(a.shape[0] for a in arrays), len(arrays), cfg.dim
+    z = np.zeros((t_max, batch, dim))
+    for i, a in enumerate(arrays):
+        z[: a.shape[0], i] = a
+
+    p_pred, gains, p_filt = (np.array(v) for v in zip(*(_schedule(q, cfg.r, t_max)
+                                                         for q in qs)))
+    gains = gains.T.reshape(t_max, len(qs), 1, 1)
+
+    out = np.empty((t_max, len(qs), batch, dim))
+    x = np.full((len(qs), batch, dim), 1.0 / dim)
+    step = np.empty_like(x)
+    clipped = np.empty_like(x)
+    sums = np.empty((len(qs), batch, 1))
+    for zt, row, g in zip(z, out, gains):
+        np.subtract(zt, x, out=step)
+        np.multiply(step, g, out=step)
+        np.add(x, step, out=row)
         if cfg.renormalize:
-            x = _renorm_rows(x, cfg.dim)
-        out[:, t] = x
+            # _renorm_rows' projection in place; the function itself runs only
+            # when some row clamps to all zeros
+            np.maximum(row, 0.0, out=clipped)
+            np.minimum(clipped, 1.0, out=clipped)
+            np.add.reduce(clipped, axis=-1, keepdims=True, out=sums)
+            if sums.all():
+                np.divide(clipped, sums, out=row)
+            else:
+                row[...] = _renorm_rows(row, dim)
+        x = row
     return out, p_pred, p_filt
 
 
@@ -143,8 +172,8 @@ def filter_trajectory(measurements: np.ndarray, cfg: KalmanConfig) -> SmoothedTr
     """
     z = _as_measurements(measurements, cfg)
     out, p_pred, p_filt = _filter([z], cfg)
-    return SmoothedTrajectory(raw=z.copy(), filtered=out[0],
-                              predicted_var=p_pred, filtered_var=p_filt)
+    return SmoothedTrajectory(raw=z.copy(), filtered=out.reshape(z.shape),
+                              predicted_var=p_pred[0], filtered_var=p_filt[0])
 
 
 def filter_batch(measurement_list, cfg: KalmanConfig) -> list[np.ndarray]:
@@ -157,7 +186,7 @@ def filter_batch(measurement_list, cfg: KalmanConfig) -> list[np.ndarray]:
     if not arrays:
         return []
     out, _, _ = _filter(arrays, cfg)
-    return [out[i, : a.shape[0]].copy() for i, a in enumerate(arrays)]
+    return [out[: a.shape[0], 0, i].copy() for i, a in enumerate(arrays)]
 
 
 def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
@@ -201,8 +230,8 @@ def tune_qr_ratio(measurement_list, labels, cfg: KalmanConfig,
                   ratios=DEFAULT_RATIO_GRID) -> TuneResult:
     """Grid-search q as ratio*r (r held fixed) by fused utterance accuracy.
 
-    Ties between ratios go to the smaller ratio, i.e. the more smoothed
-    filter.
+    Every candidate runs in one pass of the batched recursion. Ties between
+    ratios go to the smaller ratio, i.e. the more smoothed filter.
     """
     from .evaluation import fuse_utterance
 
@@ -211,15 +240,18 @@ def tune_qr_ratio(measurement_list, labels, cfg: KalmanConfig,
         raise ValueError("one label per trajectory required")
     if len(measurement_list) == 0:
         raise ValueError("nothing to tune on")
-    ratios = [float(x) for x in ratios]
+    ratios = sorted(float(x) for x in ratios)
     if not ratios:
         raise ValueError("ratio grid is empty")
+    qs = [replace(cfg, q=ratio * cfg.r).q for ratio in ratios]  # validates each q
+    arrays = [_as_measurements(m, cfg) for m in measurement_list]
+    out, _, _ = _filter(arrays, cfg, qs)
     accuracies = {}
     best_ratio, best_acc = None, -1.0
-    for ratio in sorted(ratios):
-        cand = replace(cfg, q=ratio * cfg.r)
-        filtered = filter_batch(measurement_list, cand)
-        preds = np.array([fuse_utterance(m)[0] for m in filtered])
+    for k, ratio in enumerate(ratios):
+        # contiguous, as filter_batch returns them, so each mean sums in the same order
+        preds = np.array([fuse_utterance(np.ascontiguousarray(out[: a.shape[0], k, i]))[0]
+                          for i, a in enumerate(arrays)])
         acc = float(np.mean(preds == labels))
         accuracies[ratio] = acc
         if acc > best_acc:

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kftser
 from kftser import PipelineConfig, generate_synthetic_dataset, split_manifest
 from kftser import pipeline
 
@@ -34,3 +38,16 @@ def tone_workspace(tmp_path_factory):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def child_env():
+    """Build a subprocess environment that imports this kftser from any cwd."""
+
+    def build(**extra):
+        env = dict(os.environ, **extra)
+        src = str(Path(kftser.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return env
+
+    return build

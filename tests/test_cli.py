@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -14,7 +13,6 @@ except ImportError:  # Python 3.10
 import numpy as np
 import pytest
 
-import kftser
 from kftser import Manifest, init_model, load_checkpoint, save_checkpoint
 from kftser.cli import main
 
@@ -282,15 +280,7 @@ class TestLoggingEnv:
         assert "unknown KFTSER_LOG" in capsys.readouterr().err
 
 
-def _child_env(**extra):
-    # An absolute path to the imported package, so the child finds it from any cwd.
-    env = dict(os.environ, **extra)
-    src = str(Path(kftser.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
-def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path, child_env):
     assert main(["synth", "--out-dir", str(tmp_path / "audio"), "--out",
                  str(tmp_path / "manifest.json"), "--per-class", "3", "--seed", "5",
                  "--test-fraction", "0.25"]) == 0
@@ -304,7 +294,7 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
         root.mkdir()
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "manifest.json")],
                               capture_output=True, text=True, cwd=root,
-                              env=_child_env(OPENBLAS_NUM_THREADS=threads))
+                              env=child_env(OPENBLAS_NUM_THREADS=threads))
         assert proc.returncode == 0, proc.stderr
         runs[threads] = {p.relative_to(root).as_posix(): p.read_bytes()
                          for p in sorted(root.glob("features/*.feat")) + [root / "model.ckpt"]}
@@ -320,8 +310,8 @@ def _assert_help(proc):
     assert "usage: kftser" in proc.stdout
 
 
-def test_console_script_and_module_entry(tmp_path):
-    env = _child_env()
+def test_console_script_and_module_entry(tmp_path, child_env):
+    env = child_env()
     _assert_help(subprocess.run([sys.executable, "-m", "kftser", "--help"],
                                 capture_output=True, text=True, env=env, cwd=tmp_path))
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from kftser import ConfigError, PipelineConfig
+from kftser.cli import main
 
 
 def test_defaults_match_pipeline_conventions():
@@ -64,3 +65,33 @@ def test_overrides_beat_file_values_and_none_is_ignored():
     assert out.epochs == 10
     assert out.seed == 5
     assert cfg.with_overrides(epochs=None, seed=None) == cfg
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"epochs": "3"}, "epochs must be int"),
+    ({"fusion": "bogus"}, "fusion must be one of"),
+    ({"hop_length": 4096}, "hop_length <= frame_length"),
+    ({"kalman_r": -1.0}, "r must be finite and >= 0"),
+])
+def test_bad_values_rejected_at_load(tmp_path, capsys, raw, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=message):
+        PipelineConfig.from_file(path)
+    # the CLI reads the config before any input, so it stops there as a usage error
+    rc = main(["tune", str(tmp_path / "manifest.json"), "--features", str(tmp_path),
+               "--checkpoint", str(tmp_path / "model.ckpt"), "--out",
+               str(tmp_path / "tune.json"), "--config", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_field_types_checked():
+    for raw in ({"seed": 1.0}, {"shuffle": 1}, {"epochs": True}, {"kalman_q": "0.1"},
+                {"fusion": None}):
+        with pytest.raises(ConfigError, match=f"{next(iter(raw))} must be"):
+            PipelineConfig.from_dict(raw)
+    # ints are valid floats
+    assert PipelineConfig.from_dict({"kalman_r": 1}).kalman_r == 1

@@ -1,5 +1,7 @@
 import math
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +116,18 @@ class TestDecodeWav:
 
 
 class TestResample:
+    def test_scipy_signal_is_imported_only_to_resample(self, child_env):
+        code = (
+            "import sys, numpy as np, kftser\n"
+            "assert 'scipy.signal' not in sys.modules, 'imported by kftser'\n"
+            "clip = kftser.resample(kftser.AudioClip(np.ones(4800), 48000), 22050)\n"
+            "assert clip.sample_rate == 22050 and len(clip.samples) == 2205\n"
+            "assert 'scipy.signal' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_matching_rate_is_identity(self):
         clip = AudioClip(np.ones(100), 22050)
         assert resample(clip, 22050) is clip

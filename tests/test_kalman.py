@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,12 @@ from kftser import (
     KalmanConfig,
     filter_batch,
     filter_trajectory,
+    fuse_utterance,
     rts_smooth,
     synth_noisy_trajectories,
     tune_qr_ratio,
 )
+from kftser import kalman
 from kftser.kalman import DEFAULT_RATIO_GRID, write_trajectory_csv
 from kftser.manifest import CLASS_NAMES
 
@@ -194,6 +198,67 @@ class TestFilterBatch:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 filter_batch([np.ones((3, 4)), np.full((2, 4), bad)], cfg)
+
+
+class TestZeroSumProjection:
+    """Rows whose clamped sum is 0 fall back to the uniform row."""
+
+    @staticmethod
+    def _count_fallbacks(monkeypatch):
+        calls = []
+        original = kalman._renorm_rows
+
+        def counted(x, dim):
+            calls.append(x.shape)
+            return original(x, dim)
+
+        monkeypatch.setattr(kalman, "_renorm_rows", counted)
+        return calls
+
+    @staticmethod
+    def _bad_rows(rng, n, dim):
+        """Rows that clamp to all zeros (all <= 0) or to all ones (all > 1)."""
+        low = rng.uniform(-2.0, 0.0, size=(n, dim))
+        low[::3] = 0.0
+        high = rng.uniform(1.0, 3.0, size=(n, dim)) + 1e-9
+        return np.where(rng.uniform(size=(n, 1)) < 0.5, low, high)
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_fallback_matches_naive_and_per_trajectory(self, monkeypatch, rng, dim):
+        calls = self._count_fallbacks(monkeypatch)
+        cfg = KalmanConfig(dim=dim, q=1e-3, r=0.0)
+        bad = self._bad_rows(rng, 12, dim)
+        np.testing.assert_allclose(filter_trajectory(bad, cfg).filtered,
+                                   _naive_filter(bad, cfg), rtol=0, atol=1e-12)
+        assert calls, "no row reached the zero-sum branch"
+
+        # one trajectory falls back, the others stay on the fast path
+        trajs = [rng.dirichlet(np.ones(dim), size=t) for t in (5, 12, 9)]
+        trajs.insert(1, bad)
+        calls.clear()
+        batched = filter_batch(trajs, cfg)
+        assert calls
+        for z, got in zip(trajs, batched):
+            np.testing.assert_array_equal(got, filter_trajectory(z, cfg).filtered)
+
+    def test_tune_matches_separate_batches(self, monkeypatch):
+        calls = self._count_fallbacks(monkeypatch)
+        cfg = KalmanConfig(r=0.1)
+        trajs, labels = [], []
+        for t_steps, seed in ((30, 1), (17, 2)):  # mixed lengths exercise the padding
+            z, y = synth_noisy_trajectories(8, t_steps, flip_prob=0.5, seed=seed)
+            trajs += z
+            labels += list(y)
+        trajs[2][4:9] = -100.0  # drives the state below 0 for every ratio
+        res = tune_qr_ratio(trajs, labels, cfg)
+        assert calls
+        want = {}
+        for ratio in DEFAULT_RATIO_GRID:
+            filtered = filter_batch(trajs, replace(cfg, q=ratio * cfg.r))
+            preds = np.array([fuse_utterance(m)[0] for m in filtered])
+            want[ratio] = float(np.mean(preds == np.array(labels)))
+        assert len(set(want.values())) > 1  # else a mixed-up candidate would go unseen
+        assert res.accuracies == want
 
 
 class TestRtsSmoother:
