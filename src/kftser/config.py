@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +32,6 @@ class PipelineConfig:
     n_mfcc: int = 13
     delta_width: int = 9
     log_floor: float = 1e-10
-    trim_before_resample: bool = False
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -62,9 +62,14 @@ class PipelineConfig:
         try:
             pipeline.framing_config(self)
             pipeline.train_config(self)
-            pipeline.kalman_config(self)
         except ValueError as exc:
             raise ConfigError(f"invalid config: {exc}") from None
+        try:
+            pipeline.kalman_config(self)
+        except ValueError as exc:
+            # KalmanConfig calls its fields q and r; name the keys the user wrote
+            message = re.sub(r"\b([qr])\b", r"kalman_\1", str(exc))
+            raise ConfigError(f"invalid config: {message}") from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":

@@ -1,6 +1,7 @@
 """Frame-level emotion classifier: a fully connected 41-256-128-4 network
 trained with Adam on softmax cross-entropy. All math is float64 numpy so
-runs are reproducible bit-for-bit from a seed.
+runs are reproducible bit-for-bit from a seed. Every parameter lives in
+one flat vector in checkpoint order (all weights, then all biases).
 """
 
 from __future__ import annotations
@@ -22,24 +23,41 @@ CHECKPOINT_MAGIC = b"KFTSERML"
 CHECKPOINT_VERSION = 1
 
 
+def _shapes(dims) -> list[tuple[int, ...]]:
+    """Parameter shapes in checkpoint order: every weight, then every bias."""
+    return [*zip(dims[:-1], dims[1:]), *((fan_out,) for fan_out in dims[1:])]
+
+
+def _split(flat: np.ndarray, dims) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(weights, biases) as views into a flat vector laid out by _shapes."""
+    shapes = _shapes(dims)
+    ends = np.cumsum([np.prod(shape) for shape in shapes])
+    views = [flat[end - np.prod(shape) : end].reshape(shape) for shape, end in zip(shapes, ends)]
+    return views[: len(dims) - 1], views[len(dims) - 1 :]
+
+
 @dataclass
 class MlpModel:
-    """Per-layer weights and biases plus the feature scaler baked in at
-    construction time.
-
-    weights[i] has shape (fan_in, fan_out); hidden layers are ReLU, the last
-    layer emits logits in class_order.
+    """All weights and biases in one flat float64 `params` vector, plus the
+    feature scaler. weights[i] (fan_in x fan_out) and biases[i] are views into
+    params; lists passed in are packed into it once. Hidden layers are ReLU,
+    the last emits logits in class_order.
     """
 
     layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: list[np.ndarray] | None = None
+    biases: list[np.ndarray] | None = None
     scaler: ScalerStats | None = None
     class_order: tuple[str, ...] = CLASS_NAMES
+    params: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def n_classes(self) -> int:
-        return self.layer_dims[-1]
+    def __post_init__(self):
+        if self.params is None:
+            parts = [np.asarray(p, dtype=np.float64) for p in [*self.weights, *self.biases]]
+            if [p.shape for p in parts] != _shapes(self.layer_dims):
+                raise ValueError(f"parameter shapes do not match layer_dims {self.layer_dims}")
+            self.params = np.concatenate([p.ravel() for p in parts])
+        self.weights, self.biases = _split(self.params, self.layer_dims)
 
 
 @dataclass(frozen=True)
@@ -82,44 +100,43 @@ def init_model(layer_dims=DEFAULT_LAYER_DIMS, seed: int = 0,
     if len(class_order) != layer_dims[-1]:
         raise ValueError("class_order length must match the output dimension")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        limit = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(layer_dims=layer_dims, weights=weights, biases=biases,
+    weights = [rng.uniform(-np.sqrt(6.0 / fan_in), np.sqrt(6.0 / fan_in), size=(fan_in, fan_out))
+               for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:])]
+    return MlpModel(layer_dims=layer_dims, weights=weights,
+                    biases=[np.zeros(d) for d in layer_dims[1:]],
                     scaler=scaler, class_order=tuple(class_order))
 
 
-def forward_trace(model: MlpModel, x: np.ndarray):
-    """Returns (logits, activations); activations[0] is the input batch."""
+def forward_trace(model: MlpModel, x: np.ndarray, out: list[np.ndarray] | None = None):
+    """Returns (logits, activations); activations[0] is the input batch.
+    `out` holds one preallocated array per layer output (train passes its own
+    and checks its rows once); without it, x is checked here.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.layer_dims[0]:
         raise ValueError(f"input width {x.shape[1]} != {model.layer_dims[0]}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite values")
-    activations = [x]
+    if out is None:
+        if not np.all(np.isfinite(x)):
+            raise ValueError("input contains non-finite values")
+        out = [np.empty((len(x), d)) for d in model.layer_dims[1:]]
     h = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w + b
-        if i < last:
-            h = np.maximum(h, 0.0)
-        activations.append(h)
-    return h, activations
+    for i, (w, b, o) in enumerate(zip(model.weights, model.biases, out)):
+        h = np.matmul(h, w, out=o)
+        h += b
+        if i < len(out) - 1:
+            np.maximum(h, 0.0, out=h)
+    return h, [x, *out]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Class posteriors for scaled input rows; each row sums to 1."""
-    logits, _ = forward_trace(model, x)
-    return softmax(logits)
+    return softmax(forward_trace(model, x)[0])
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -131,76 +148,83 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(lse - shifted[np.arange(len(labels)), labels]))
 
 
+class _Workspace:
+    """Every array a training step on `batch` rows writes, allocated once.
+    After backward, shifted and col hold the max-shifted logits and softmax
+    row sums that the batch loss is read from.
+    """
+
+    def __init__(self, model: MlpModel, batch: int, grad: np.ndarray | None = None):
+        dims = model.layer_dims
+        self.x, self.labels = np.empty((batch, dims[0])), np.empty(batch, dtype=np.intp)
+        self.rows = np.arange(batch)
+        self.out = [np.empty((batch, d)) for d in dims[1:]]
+        self.deltas = [np.empty((batch, d)) for d in dims[1:]]
+        self.masks = [np.empty((batch, d), dtype=bool) for d in dims[1:-1]]
+        self.shifted, self.col = np.empty((batch, dims[-1])), np.empty((batch, 1))
+        self.grad = np.empty_like(model.params) if grad is None else grad
+        self.grad_w, self.grad_b = _split(self.grad, dims)
+
+
 def backward(model: MlpModel, activations: list[np.ndarray],
-             logits: np.ndarray, labels: np.ndarray):
-    """Gradients of mean batch cross-entropy wrt every weight and bias.
+             logits: np.ndarray, labels: np.ndarray, ws: _Workspace | None = None):
+    """Gradients of mean batch cross-entropy wrt every weight and bias, as
+    (grad_w, grad_b) views into the flat gradient of the workspace `ws`.
 
     The logit gradient is (posterior - one_hot) / batch; the rest is plain
     backprop through the ReLU stack.
     """
     labels = np.asarray(labels, dtype=np.intp)
     batch = logits.shape[0]
-    delta = softmax(logits)
-    delta[np.arange(batch), labels] -= 1.0
+    ws = ws or _Workspace(model, batch)
+    delta = ws.deltas[-1]
+    np.max(logits, axis=1, keepdims=True, out=ws.col)
+    np.subtract(logits, ws.col, out=ws.shifted)
+    np.exp(ws.shifted, out=delta)
+    np.sum(delta, axis=1, keepdims=True, out=ws.col)
+    delta /= ws.col
+    delta[ws.rows, labels] -= 1.0
     delta /= batch
-
-    grad_w = [None] * len(model.weights)
-    grad_b = [None] * len(model.biases)
     for i in range(len(model.weights) - 1, -1, -1):
-        grad_w[i] = activations[i].T @ delta
-        grad_b[i] = delta.sum(axis=0)
+        np.matmul(activations[i].T, delta, out=ws.grad_w[i])
+        np.sum(delta, axis=0, out=ws.grad_b[i])
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (activations[i] > 0)
-    return grad_w, grad_b
+            mask = np.greater(activations[i], 0, out=ws.masks[i - 1])
+            delta = np.matmul(delta, model.weights[i].T, out=ws.deltas[i - 1])
+            delta *= mask
+    return ws.grad_w, ws.grad_b
 
 
-@dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter tensor, plus
-    two scratch buffers per parameter so a step allocates no arrays.
-    """
+    """First/second moments over the flat parameters, plus two scratch vectors."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    step: int = 0
-    scratch: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.scratch = [(np.empty_like(m), np.empty_like(m)) for m in self.m]
-
-    @classmethod
-    def for_model(cls, model: MlpModel) -> "AdamState":
-        params = model.weights + model.biases
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+    def __init__(self, model: MlpModel):
+        self.m, self.v, self.a, self.b = (np.zeros_like(model.params) for _ in range(4))
+        self.step = 0
 
 
-def adam_step(model: MlpModel, grads_w, grads_b, state: AdamState, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place.
-
-    The operations run in the order of the textbook expression
-    p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), so the
-    result is bit-identical to evaluating it with temporaries.
+def adam_step(model: MlpModel, grad: np.ndarray, state: AdamState, cfg: TrainConfig) -> None:
+    """One bias-corrected Adam update of model.params, in place, run in the
+    order of p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) so the
+    result is bit-identical to evaluating that expression with temporaries.
     """
     state.step += 1
     t = state.step
-    params = model.weights + model.biases
-    grads = list(grads_w) + list(grads_b)
-    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
-        np.multiply(1.0 - cfg.beta1, g, out=a)
-        m *= cfg.beta1
-        m += a
-        np.multiply(1.0 - cfg.beta2, g, out=a)
-        a *= g
-        v *= cfg.beta2
-        v += a
-        np.divide(m, 1.0 - cfg.beta1**t, out=a)
-        a *= cfg.learning_rate
-        np.divide(v, 1.0 - cfg.beta2**t, out=b)
-        np.sqrt(b, out=b)
-        b += cfg.epsilon
-        a /= b
-        p -= a
+    p, m, v, a, b = model.params, state.m, state.v, state.a, state.b
+    np.multiply(1.0 - cfg.beta1, grad, out=a)
+    m *= cfg.beta1
+    m += a
+    np.multiply(1.0 - cfg.beta2, grad, out=a)
+    a *= grad
+    v *= cfg.beta2
+    v += a
+    np.divide(m, 1.0 - cfg.beta1**t, out=a)
+    a *= cfg.learning_rate
+    np.divide(v, 1.0 - cfg.beta2**t, out=b)
+    np.sqrt(b, out=b)
+    b += cfg.epsilon
+    a /= b
+    p -= a
 
 
 def train(model: MlpModel, rows: np.ndarray, labels: np.ndarray,
@@ -211,35 +235,40 @@ def train(model: MlpModel, rows: np.ndarray, labels: np.ndarray,
     rows by the caller) is applied here. Shuffling and batching are seeded,
     so a fixed (model, data, cfg) triple reproduces bit-identical weights.
     """
-    if cfg is None:
-        cfg = TrainConfig()
+    cfg = cfg or TrainConfig()
     rows = np.asarray(rows, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
-    if rows.ndim != 2 or len(rows) != len(labels):
-        raise ValueError("rows must be 2-D with one label per row")
-    if len(rows) == 0:
-        raise ValueError("cannot train on an empty set")
+    if rows.ndim != 2 or rows.shape[1] != model.layer_dims[0] or not 0 < len(rows) == len(labels):
+        raise ValueError(f"rows must be non-empty (n, {model.layer_dims[0]}), one label per row")
     if labels.min() < 0 or labels.max() >= model.layer_dims[-1]:
         raise ValueError("labels out of range for the output layer")
 
     if model.scaler is not None:
         rows = apply_scaler(rows, model.scaler)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("input contains non-finite values")
 
-    state = AdamState.for_model(model)
-    trace = TrainTrace()
-    rng = np.random.default_rng(cfg.seed)
-    n = len(rows)
+    state, trace, rng = AdamState(model), TrainTrace(), np.random.default_rng(cfg.seed)
+    n, size = len(rows), cfg.batch_size
+    grad = np.empty_like(model.params)
+    spaces = {b: _Workspace(model, b, grad) for b in {min(size, n), n % size} - {0}}
+    full_out = [np.empty((n, d)) for d in model.layer_dims[1:]]
 
     for _ in range(cfg.epochs):
         order = rng.permutation(n) if cfg.shuffle else np.arange(n)
         epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            logits, acts = forward_trace(model, rows[idx])
-            epoch_loss += cross_entropy(logits, labels[idx]) * len(idx)
-            gw, gb = backward(model, acts, logits, labels[idx])
-            adam_step(model, gw, gb, state, cfg)
-        logits, _ = forward_trace(model, rows)
+        for start in range(0, n, size):
+            idx = order[start : start + size]
+            ws = spaces[len(idx)]
+            np.take(rows, idx, axis=0, out=ws.x)
+            np.take(labels, idx, out=ws.labels)
+            logits, acts = forward_trace(model, ws.x, ws.out)
+            backward(model, acts, logits, ws.labels, ws)
+            # cross_entropy(logits, labels), from the softmax backward kept
+            lse = np.log(ws.col[:, 0])
+            epoch_loss += float(np.mean(lse - ws.shifted[ws.rows, ws.labels])) * len(idx)
+            adam_step(model, grad, state, cfg)
+        logits, _ = forward_trace(model, rows, full_out)
         trace.losses.append(epoch_loss / n)
         trace.accuracies.append(float(np.mean(logits.argmax(axis=1) == labels)))
 
@@ -257,7 +286,7 @@ def predict_frames(model: MlpModel, features) -> np.ndarray:
     if rows.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {rows.shape}")
     if rows.shape[0] == 0:
-        return np.empty((0, model.n_classes))
+        return np.empty((0, model.layer_dims[-1]))
     if model.scaler is not None:
         rows = apply_scaler(rows, model.scaler)
     return forward(model, rows)
@@ -271,95 +300,65 @@ def save_trace_csv(trace: TrainTrace, path: str | Path) -> None:
             writer.writerow([i, repr(loss), repr(acc)])
 
 
-def _write_array(fh, arr: np.ndarray) -> None:
-    fh.write(arr.astype("<f8").tobytes())
-
-
 def save_checkpoint(model: MlpModel, path: str | Path) -> None:
     """Self-describing binary: dims, class names, scaler, then parameters
-    (all weights first, then all biases), little-endian float64.
-    """
+    (all weights first, then all biases) as one little-endian float64 block."""
+    dims, names = model.layer_dims, [name.encode("utf-8") for name in model.class_order]
+    header = struct.pack(f"<{len(dims) + 3}I", CHECKPOINT_VERSION, len(dims), *dims, len(names))
+    scaler = () if model.scaler is None else (model.scaler.mean, model.scaler.std)
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(model.layer_dims)))
-        fh.write(struct.pack(f"<{len(model.layer_dims)}I", *model.layer_dims))
-        fh.write(struct.pack("<I", len(model.class_order)))
-        for name in model.class_order:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-        if model.scaler is None:
-            fh.write(struct.pack("<I", 0))
-        else:
-            fh.write(struct.pack("<I", len(model.scaler.mean)))
-            _write_array(fh, model.scaler.mean)
-            _write_array(fh, model.scaler.std)
-        for w in model.weights:
-            _write_array(fh, w)
-        for b in model.biases:
-            _write_array(fh, b)
-
-
-class _Reader:
-    def __init__(self, raw: bytes, path):
-        self.raw = raw
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int, section: str) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise CheckpointError(f"{self.path}: truncated checkpoint in {section}")
-        out = self.raw[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self, section: str) -> int:
-        return struct.unpack("<I", self.take(4, section))[0]
-
-    def f64s(self, count: int, section: str) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count, section), dtype="<f8").copy()
+        fh.write(CHECKPOINT_MAGIC + header)
+        for raw in names:
+            fh.write(struct.pack("<I", len(raw)) + raw)
+        fh.write(struct.pack("<I", len(scaler[0]) if scaler else 0))
+        for arr in (*scaler, model.params):
+            fh.write(arr.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> MlpModel:
-    r = _Reader(Path(path).read_bytes(), path)
-    if r.take(8, "magic") != CHECKPOINT_MAGIC:
+    raw, pos = Path(path).read_bytes(), 0
+
+    def take(n: int, section: str) -> bytes:
+        nonlocal pos
+        if pos + n > len(raw):
+            raise CheckpointError(f"{path}: truncated checkpoint in {section}")
+        pos += n
+        return raw[pos - n : pos]
+
+    def u32(section: str) -> int:
+        return struct.unpack("<I", take(4, section))[0]
+
+    def f64s(count: int, section: str) -> np.ndarray:
+        return np.frombuffer(take(8 * count, section), dtype="<f8").copy()
+
+    if take(8, "magic") != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad checkpoint magic")
-    version = r.u32("version")
+    version = u32("version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-
-    n_dims = r.u32("layer_dims")
+    n_dims = u32("layer_dims")
     if not 2 <= n_dims <= 64:
         raise CheckpointError(f"{path}: implausible layer count {n_dims}")
-    dims = tuple(r.u32("layer_dims") for _ in range(n_dims))
+    dims = tuple(u32("layer_dims") for _ in range(n_dims))
     if any(d < 1 for d in dims):
         raise CheckpointError(f"{path}: non-positive layer dimension in {dims}")
-
-    n_classes = r.u32("class names")
+    n_classes = u32("class names")
     if n_classes != dims[-1]:
         raise CheckpointError(f"{path}: {n_classes} class names for {dims[-1]} outputs")
-    names = []
-    for _ in range(n_classes):
-        ln = r.u32("class names")
-        names.append(r.take(ln, "class names").decode("utf-8"))
+    names = [take(u32("class names"), "class names").decode("utf-8")
+             for _ in range(n_classes)]
 
-    scaler_cols = r.u32("scaler")
+    scaler_cols = u32("scaler")
     scaler = None
     if scaler_cols:
         if scaler_cols != dims[0]:
             raise CheckpointError(f"{path}: scaler width {scaler_cols} != input {dims[0]}")
-        scaler = ScalerStats(mean=r.f64s(scaler_cols, "scaler"),
-                             std=r.f64s(scaler_cols, "scaler"))
+        scaler = ScalerStats(mean=f64s(scaler_cols, "scaler"), std=f64s(scaler_cols, "scaler"))
 
-    weights = [r.f64s(fi * fo, "weights").reshape(fi, fo)
-               for fi, fo in zip(dims[:-1], dims[1:])]
-    biases = [r.f64s(fo, "biases") for fo in dims[1:]]
-    if r.pos != len(r.raw):
-        raise CheckpointError(f"{path}: {len(r.raw) - r.pos} trailing bytes after parameters")
-    for p in weights + biases:
-        if not np.all(np.isfinite(p)):
-            raise CheckpointError(f"{path}: non-finite values in parameters")
+    params = f64s(sum(int(np.prod(s)) for s in _shapes(dims)), "parameters")
+    if pos != len(raw):
+        raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes after parameters")
+    if not np.all(np.isfinite(params)):
+        raise CheckpointError(f"{path}: non-finite values in parameters")
 
-    return MlpModel(layer_dims=dims, weights=weights, biases=biases,
-                    scaler=scaler, class_order=tuple(names))
+    return MlpModel(layer_dims=dims, scaler=scaler, class_order=tuple(names), params=params)

@@ -44,21 +44,13 @@ def kalman_config(cfg: PipelineConfig) -> KalmanConfig:
 
 def wav_to_features(path: str | Path, cfg: PipelineConfig,
                     fb: MelFilterbank | None = None, utterance_id: str = "") -> FeatureMatrix:
-    """Decode, standardize the rate, trim silence, and extract features.
-
-    Resampling precedes trimming by default; trim_before_resample swaps the
-    order for experiments.
-    """
+    """Decode, standardize the rate, trim silence, and extract features."""
     if fb is None:
         fb = mel_filterbank(cfg)
     clip = decode_wav(path)
     fcfg = framing_config(cfg)
-    if cfg.trim_before_resample:
-        clip = trim_silence(clip, cfg.trim_threshold_db, fcfg)
-        clip = resample(clip, cfg.sample_rate)
-    else:
-        clip = resample(clip, cfg.sample_rate)
-        clip = trim_silence(clip, cfg.trim_threshold_db, fcfg)
+    clip = resample(clip, cfg.sample_rate)
+    clip = trim_silence(clip, cfg.trim_threshold_db, fcfg)
     return extract_features(clip, fcfg, fb, delta_width=cfg.delta_width,
                             log_floor=cfg.log_floor, utterance_id=utterance_id)
 

@@ -72,6 +72,9 @@ def test_overrides_beat_file_values_and_none_is_ignored():
     ({"fusion": "bogus"}, "fusion must be one of"),
     ({"hop_length": 4096}, "hop_length <= frame_length"),
     ({"kalman_r": -1.0}, "r must be finite and >= 0"),
+    ({"kalman_r": -1.0}, "kalman_r must be finite and >= 0"),
+    ({"kalman_q": -0.5}, "kalman_q must be finite and >= 0"),
+    ({"kalman_q": 0.0, "kalman_r": 0.0}, "kalman_q and kalman_r cannot both be zero"),
 ])
 def test_bad_values_rejected_at_load(tmp_path, capsys, raw, message):
     path = tmp_path / "cfg.json"

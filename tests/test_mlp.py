@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -161,32 +162,30 @@ class TestAdam:
         model = init_model((3, 2), seed=0, class_order=("a", "b"))
         before = [w.copy() for w in model.weights]
         cfg = TrainConfig(learning_rate=0.05)
-        state = AdamState.for_model(model)
-        gw = [np.full((3, 2), 0.7)]
-        gb = [np.full(2, -0.3)]
-        adam_step(model, gw, gb, state, cfg)
+        state = AdamState(model)
+        grad = np.concatenate([np.full(6, 0.7), np.full(2, -0.3)])  # weights, then biases
+        adam_step(model, grad, state, cfg)
         # first bias-corrected step moves every coordinate by ~lr * sign(g)
         np.testing.assert_allclose(before[0] - model.weights[0], 0.05, atol=1e-6)
         np.testing.assert_allclose(model.biases[0], 0.05, atol=1e-6)
 
     def test_zero_gradient_leaves_parameters_alone(self):
         model = init_model((3, 2), seed=0, class_order=("a", "b"))
-        before = [p.copy() for p in model.weights + model.biases]
-        state = AdamState.for_model(model)
-        adam_step(model, [np.zeros((3, 2))], [np.zeros(2)], state, TrainConfig())
-        for p, q in zip(before, model.weights + model.biases):
-            assert np.array_equal(p, q)
+        before = model.params.copy()
+        state = AdamState(model)
+        adam_step(model, np.zeros_like(model.params), state, TrainConfig())
+        assert np.array_equal(before, model.params)
 
     def test_three_steps_match_textbook_recursion(self):
         cfg = TrainConfig(learning_rate=0.01)
         model = _zeroed((1, 1))
         model.weights[0][:] = 2.0
-        state = AdamState.for_model(model)
+        state = AdamState(model)
         grads = [0.5, -1.5, 0.25]
 
         p, m, v = 2.0, 0.0, 0.0
         for t, g in enumerate(grads, start=1):
-            adam_step(model, [np.array([[g]])], [np.zeros(1)], state, cfg)
+            adam_step(model, np.array([g, 0.0]), state, cfg)
             m = cfg.beta1 * m + (1 - cfg.beta1) * g
             v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
             m_hat = m / (1 - cfg.beta1**t)
@@ -200,10 +199,10 @@ class TestAdam:
         params = [p.copy() for p in model.weights + model.biases]
         m = [np.zeros_like(p) for p in params]
         v = [np.zeros_like(p) for p in params]
-        state = AdamState.for_model(model)
+        state = AdamState(model)
         for t in range(1, 5):
             grads = [rng.normal(size=p.shape) for p in params]
-            adam_step(model, grads[:2], grads[2:], state, cfg)
+            adam_step(model, np.concatenate([g.ravel() for g in grads]), state, cfg)
             for i, g in enumerate(grads):
                 m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g
                 v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * g * g
@@ -212,8 +211,54 @@ class TestAdam:
                 params[i] = params[i] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
         for got, want in zip(model.weights + model.biases, params):
             assert got.tobytes() == want.tobytes()
-        for got, want in zip(state.m + state.v, m + v):
-            assert got.tobytes() == want.tobytes()
+        for got, want in ((state.m, m), (state.v, v)):
+            assert got.tobytes() == np.concatenate([x.ravel() for x in want]).tobytes()
+
+
+class TestFlatLayout:
+    def test_layer_views_write_through_to_params_and_forward(self):
+        model = init_model((3, 4, 2), seed=0, class_order=("a", "b"))
+        x = np.ones((2, 3))
+        before = forward(model, x)
+        model.weights[1][0, 0] += 1.0
+        model.biases[1][1] -= 2.0
+        assert model.params[3 * 4] == model.weights[1][0, 0]
+        assert model.params[-1] == model.biases[1][1]
+        assert not np.array_equal(forward(model, x), before)
+
+    def test_params_hold_weights_then_biases(self):
+        model = init_model((3, 4, 2), seed=1, class_order=("a", "b"))
+        assert model.params.dtype == np.float64 and model.params.flags.c_contiguous
+        packed = np.concatenate([p.ravel() for p in model.weights + model.biases])
+        assert model.params.tobytes() == packed.tobytes()
+        assert all(np.shares_memory(p, model.params) for p in model.weights + model.biases)
+
+    def test_model_from_per_layer_lists(self):
+        w0, w1 = np.arange(8.0).reshape(2, 4), -np.arange(8.0).reshape(4, 2)
+        model = MlpModel(layer_dims=(2, 4, 2), weights=[w0, w1],
+                         biases=[np.ones(4), np.zeros(2)], class_order=("a", "b"))
+        np.testing.assert_array_equal(model.weights[1], w1)
+        np.testing.assert_array_equal(model.params[:8], w0.ravel())
+        p = forward(model, [[1.0, -1.0]])
+        np.testing.assert_allclose(p.sum(), 1.0, atol=1e-12)
+        with pytest.raises(ValueError, match="shapes"):
+            MlpModel(layer_dims=(2, 4, 2), weights=[w1, w0], biases=[np.ones(4), np.zeros(2)])
+
+    def test_save_load_save_is_byte_identical(self, tmp_path, rng):
+        stats = ScalerStats(mean=rng.normal(size=5), std=np.abs(rng.normal(size=5)) + 0.5)
+        model = init_model((5, 6, 4), seed=3, scaler=stats)
+        model, _ = train(model, rng.normal(size=(30, 5)), rng.integers(0, 4, 30),
+                         TrainConfig(epochs=2, seed=3))
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(model, first)
+        save_checkpoint(load_checkpoint(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_non_finite_training_rows_rejected_once_up_front(self, rng):
+        rows, labels = _blobs(rng, n_per_class=5)
+        rows[7, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            train(init_model((2, 4), seed=0), rows, labels, TrainConfig(epochs=1))
 
 
 def _blobs(rng, n_per_class=30, spread=0.25):
@@ -388,3 +433,33 @@ class TestCheckpoint:
         assert [int(r[0]) for r in body] == [0, 1, 2, 3]
         assert [float(r[1]) for r in body] == trace.losses
         assert [float(r[2]) for r in body] == trace.accuracies
+
+
+def _golden_hashes(tmp_path, dims, n_rows, epochs):
+    rng = np.random.default_rng(11)
+    rows = 3.0 * rng.normal(size=(n_rows, dims[0])) + 1.0
+    labels = rng.integers(0, dims[-1], n_rows)
+    stats = ScalerStats(mean=rows.mean(axis=0), std=rows.std(axis=0))
+    model = init_model(dims, seed=4, scaler=stats)
+    model, trace = train(model, rows, labels, TrainConfig(epochs=epochs, seed=4))
+    save_checkpoint(model, tmp_path / "model.ckpt")
+    save_trace_csv(trace, tmp_path / "train_trace.csv")
+    return [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("model.ckpt", "train_trace.csv")]
+
+
+@pytest.mark.parametrize(
+    "dims, n_rows, epochs, want",
+    [
+        # 150 rows = two batches of 64 plus a partial batch of 22
+        ((41, 32, 4), 150, 6,
+         ["92d2612c166897ee4308d5dd04bc2ee8284e54c652bcef161f5da9471100c933",
+          "ff219ab231a6940017893efa4b51ef923e59faa6b2145ff45fc2998d9e2d0816"]),
+        (DEFAULT_LAYER_DIMS, 200, 3,
+         ["e95246b4596dcfe5cdc705539b89dad8d5345512a3cfb3424a06924467d047a2",
+          "4ae5b703f93e5936cc7021d36d8befc178942970ab31a51e14213abcdfd93bd4"]),
+    ],
+)
+def test_training_artifacts_match_golden_bytes(tmp_path, dims, n_rows, epochs, want):
+    """Checkpoint and trace bytes are pinned, not only compared run to run."""
+    assert _golden_hashes(tmp_path, dims, n_rows, epochs) == want

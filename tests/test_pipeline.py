@@ -65,12 +65,6 @@ class TestWavToFeatures:
         assert fm.rows.shape[1] == 41
         assert fm.n_frames > 10
 
-    def test_trim_order_flag(self, tone_workspace):
-        rec = tone_workspace["manifest"].records[0]
-        cfg = PipelineConfig(trim_before_resample=True)
-        fm = wav_to_features(rec.file_path, cfg)
-        assert fm.n_frames > 0
-
 
 class TestFeatureStore:
     def test_filename_padding(self):
