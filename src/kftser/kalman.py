@@ -17,6 +17,15 @@ trajectory and class, and the filter acts as a tuned temporal low-pass over
 the classifier output. The Rauch-Tung-Striebel smoother (AIAA J., 1965)
 reduces the same way, to the scalar gain p_t / p_{t+1}^p. A q/r grid search
 rides on top; it filters every candidate q in the same pass.
+
+The recursion has two loops with the same arithmetic in the same order. A
+batch, or several q at once (the tune grid), advances through numpy
+buffers, one time step per set of array calls. A single trajectory at a
+single q with dim < 8 runs on Python floats, where numpy's per-call
+overhead would outweigh the arithmetic; the smoother always does. The
+selection depends only on the input's shape. test_kalman.py's
+TestFilterBatch::test_matches_per_trajectory_filtering holds the two loops
+byte-equal on both sides of the width cut.
 """
 
 from __future__ import annotations
@@ -102,6 +111,34 @@ def _schedule(q: float, r: float, t_max: int):
     return p_pred, gain, p_filt
 
 
+def _filter_floats(z: np.ndarray, gains: list[float], dim: int,
+                   renormalize: bool) -> list[list[float]]:
+    """_filter's numpy loop for one trajectory at one q, on Python floats.
+
+    Every operation is the one the numpy loop does, in its order: x + k*(z - x),
+    clamp to [0, 1], a left-to-right row sum, divide; a row whose clamped sum
+    is 0 becomes the uniform row. One frame thus costs one short Python
+    loop instead of about ten numpy calls on (1, 1, dim) arrays.
+    The sum is an explicit loop: the built-in sum() is compensated from
+    Python 3.12 on and would change the bits.
+    """
+    uniform = [1.0 / dim] * dim
+    x, rows = uniform, []
+    for zt, k in zip(z.tolist(), gains):
+        if not renormalize:
+            x = [a + k * (b - a) for a, b in zip(x, zt)]
+        else:
+            clamped, s = [], 0.0
+            for a, b in zip(x, zt):
+                v = a + k * (b - a)
+                v = 1.0 if v > 1.0 else v if v > 0.0 else 0.0
+                s += v
+                clamped.append(v)
+            x = [v / s for v in clamped] if s else uniform
+        rows.append(x)
+    return rows
+
+
 def _filter(arrays: list[np.ndarray], cfg: KalmanConfig, qs=None):
     """The one recursion: filtered means of a batch under one or more q values.
 
@@ -111,17 +148,25 @@ def _filter(arrays: list[np.ndarray], cfg: KalmanConfig, qs=None):
     broadcast across the q axis. Each step writes straight into its output
     row through preallocated buffers. Row b of the output is valid up to
     that trajectory's length; padded steps never feed back into valid ones.
-    Returns (means (T_max, n_q, B, dim), predicted variances (n_q, T_max),
-    filtered variances (n_q, T_max)).
+    One trajectory at one q with dim < 8 runs the same steps in
+    _filter_floats instead. Returns (means (T_max, n_q, B, dim), predicted
+    variances (n_q, T_max), filtered variances (n_q, T_max)).
     """
     qs = [cfg.q] if qs is None else list(qs)
     t_max, batch, dim = max(a.shape[0] for a in arrays), len(arrays), cfg.dim
+    schedules = [_schedule(q, cfg.r, t_max) for q in qs]
+    p_pred, gains, p_filt = (np.array(v) for v in zip(*schedules))
+    if batch == 1 and len(qs) == 1 and dim < 8:
+        # numpy's last-axis add.reduce sums a row left to right only up to
+        # width 7 (wider rows are summed in unrolled partial sums), so only
+        # below that width can a float loop reproduce the row sums bit for bit
+        _, gain, _ = schedules[0]
+        rows = _filter_floats(arrays[0], gain, dim, cfg.renormalize)
+        return np.array(rows).reshape(t_max, 1, 1, dim), p_pred, p_filt
+
     z = np.zeros((t_max, batch, dim))
     for i, a in enumerate(arrays):
         z[: a.shape[0], i] = a
-
-    p_pred, gains, p_filt = (np.array(v) for v in zip(*(_schedule(q, cfg.r, t_max)
-                                                         for q in qs)))
     gains = gains.T.reshape(t_max, len(qs), 1, 1)
 
     out = np.empty((t_max, len(qs), batch, dim))
@@ -179,8 +224,11 @@ def filter_trajectory(measurements: np.ndarray, cfg: KalmanConfig) -> SmoothedTr
 def filter_batch(measurement_list, cfg: KalmanConfig) -> list[np.ndarray]:
     """Filtered means for many trajectories at once.
 
-    Runs the same recursion as filter_trajectory, advancing the whole batch
-    per time step, so each output equals filter_trajectory's exactly.
+    A batch of two or more advances on the numpy loop, the whole batch per
+    time step; filter_trajectory uses the Python-float loop when dim < 8.
+    Both do the same operations in the same order, so each output equals
+    filter_trajectory's byte for byte (test_kalman.py's
+    TestFilterBatch::test_matches_per_trajectory_filtering).
     """
     arrays = [_as_measurements(m, cfg) for m in measurement_list]
     if not arrays:
@@ -194,13 +242,19 @@ def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
 
     Under F = I the predicted mean at t+1 is the filtered mean at t, and the
     smoother gain is the scalar filtered_var[t] / predicted_var[t+1]. The
-    final smoothed step equals the final filtered step exactly.
+    final smoothed step equals the final filtered step exactly. The pass runs
+    on Python floats, a + g*(b - a) per element, which gives the bits of the
+    same update as a numpy row loop at a fraction of its per-call cost.
     """
-    means = st.filtered.copy()
-    gain = st.filtered_var[:-1] / st.predicted_var[1:]
-    for t in range(st.n_steps - 2, -1, -1):
-        means[t] = st.filtered[t] + gain[t] * (means[t + 1] - st.filtered[t])
-    return means
+    filtered = st.filtered.tolist()
+    gain = (st.filtered_var[:-1] / st.predicted_var[1:]).tolist()
+    nxt = filtered[-1]
+    means = [nxt]
+    for f, g in zip(filtered[-2::-1], gain[::-1]):
+        nxt = [a + g * (b - a) for a, b in zip(f, nxt)]
+        means.append(nxt)
+    means.reverse()
+    return np.array(means)
 
 
 def write_trajectory_csv(st: SmoothedTrajectory, path: str | Path, class_names) -> None:

@@ -178,16 +178,16 @@ def backward(model: MlpModel, activations: list[np.ndarray],
     batch = logits.shape[0]
     ws = ws or _Workspace(model, batch)
     delta = ws.deltas[-1]
-    np.max(logits, axis=1, keepdims=True, out=ws.col)
+    np.maximum.reduce(logits, axis=1, keepdims=True, out=ws.col)
     np.subtract(logits, ws.col, out=ws.shifted)
     np.exp(ws.shifted, out=delta)
-    np.sum(delta, axis=1, keepdims=True, out=ws.col)
+    np.add.reduce(delta, axis=1, keepdims=True, out=ws.col)
     delta /= ws.col
     delta[ws.rows, labels] -= 1.0
     delta /= batch
     for i in range(len(model.weights) - 1, -1, -1):
         np.matmul(activations[i].T, delta, out=ws.grad_w[i])
-        np.sum(delta, axis=0, out=ws.grad_b[i])
+        np.add.reduce(delta, axis=0, out=ws.grad_b[i])
         if i > 0:
             mask = np.greater(activations[i], 0, out=ws.masks[i - 1])
             delta = np.matmul(delta, model.weights[i].T, out=ws.deltas[i - 1])

@@ -179,16 +179,41 @@ class TestGainSchedule:
         assert all(b < a for a, b in zip(gain, gain[1:]))
 
 
+def _numpy_rts_smooth(st):
+    """rts_smooth as a numpy row loop: the reference for its float loop."""
+    means = st.filtered.copy()
+    gain = st.filtered_var[:-1] / st.predicted_var[1:]
+    for t in range(st.n_steps - 2, -1, -1):
+        means[t] = st.filtered[t] + gain[t] * (means[t + 1] - st.filtered[t])
+    return means
+
+
 class TestFilterBatch:
-    def test_matches_per_trajectory_filtering(self, rng):
-        for renorm in (False, True):
-            cfg = KalmanConfig(renormalize=renorm)
-            trajs = [rng.uniform(0, 1, size=(t, 4)) for t in (1, 3, 7, 12)]
-            batched = filter_batch(trajs, cfg)
-            for z, got in zip(trajs, batched):
-                want = filter_trajectory(z, cfg).filtered
-                assert got.shape == want.shape
-                np.testing.assert_array_equal(got, want)
+    @pytest.mark.parametrize("renorm", [False, True])
+    @pytest.mark.parametrize("q, r", [(1e-3, 0.1), (0.0, 0.1), (1e-3, 0.0)])
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_matches_per_trajectory_filtering(self, rng, dim, q, r, renorm):
+        """filter_trajectory (Python floats below dim 8) and a batch of several
+        (numpy buffers) agree byte for byte, and so do rts_smooth and its
+        numpy row loop."""
+        cfg = KalmanConfig(dim=dim, q=q, r=r, renormalize=renorm)
+        trajs = [rng.dirichlet(np.ones(dim), size=7)]
+        for t in (1, 2, 17, 60, int(rng.integers(1, 61))):
+            z = rng.uniform(-0.5, 1.5, size=(t, dim))
+            pick = rng.uniform(size=z.shape)
+            z[pick < 0.15] = 0.0
+            z[pick > 0.85] = -0.0
+            z[rng.uniform(size=t) < 0.1] = -0.25  # whole rows that clamp to zero
+            trajs.append(z)
+        batched = filter_batch(trajs, cfg)
+        _, p_pred, p_filt = kalman._filter(trajs, cfg)
+        for z, got in zip(trajs, batched):
+            st = filter_trajectory(z, cfg)
+            assert got.shape == st.filtered.shape == z.shape
+            assert got.tobytes() == st.filtered.tobytes()
+            assert st.predicted_var.tobytes() == p_pred[0, : len(z)].tobytes()
+            assert st.filtered_var.tobytes() == p_filt[0, : len(z)].tobytes()
+            assert rts_smooth(st, cfg).tobytes() == _numpy_rts_smooth(st).tobytes()
 
     def test_empty_batch_and_empty_trajectory(self):
         cfg = KalmanConfig()
@@ -228,9 +253,13 @@ class TestZeroSumProjection:
         calls = self._count_fallbacks(monkeypatch)
         cfg = KalmanConfig(dim=dim, q=1e-3, r=0.0)
         bad = self._bad_rows(rng, 12, dim)
-        np.testing.assert_allclose(filter_trajectory(bad, cfg).filtered,
-                                   _naive_filter(bad, cfg), rtol=0, atol=1e-12)
-        assert calls, "no row reached the zero-sum branch"
+        filtered = filter_trajectory(bad, cfg).filtered
+        np.testing.assert_allclose(filtered, _naive_filter(bad, cfg), rtol=0, atol=1e-12)
+        # at r = 0 the gain is 1, so a row that is all <= 0 clamps to a zero
+        # sum and its step must come out as the uniform row, exactly
+        low = (bad <= 0.0).all(axis=1)
+        assert low.any()
+        assert (filtered[low] == 1.0 / dim).all()
 
         # one trajectory falls back, the others stay on the fast path
         trajs = [rng.dirichlet(np.ones(dim), size=t) for t in (5, 12, 9)]
