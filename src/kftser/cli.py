@@ -1,6 +1,6 @@
 """Command-line surface for the whole pipeline.
 
-Subcommands: manifest, extract, train, evaluate, trajectory, tune, synth.
+Subcommands: manifest, extract, train, evaluate, trajectory, tune, synth, run.
 Exit codes: 0 success, 1 runtime or I/O failure, 2 usage or argument error.
 KFTSER_LOG (error|warn|info|debug) sets logging verbosity.
 """
@@ -12,14 +12,14 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
 from .config import PipelineConfig
 from .errors import KftserError
 from .evaluation import evaluate_pipeline
-from .kalman import (DEFAULT_RATIO_GRID, filter_trajectory, tune_qr_ratio,
-                     write_trajectory_csv)
+from .kalman import DEFAULT_RATIO_GRID, filter_trajectory, write_trajectory_csv
 from .manifest import (CLASS_NAMES, Manifest, build_manifest,
                        generate_synthetic_dataset, split_manifest)
 from .mlp import load_checkpoint, predict_frames, save_checkpoint, save_trace_csv
@@ -55,50 +55,35 @@ def _checked_model(path):
     return model
 
 
-def cmd_manifest(args) -> int:
-    manifest = build_manifest(args.root)
-    manifest = split_manifest(manifest, args.test_fraction, args.seed)
-    manifest.save(args.out)
-    print(f"{len(manifest.records)} records "
-          f"(train={len(manifest.train_indices)}/test={len(manifest.test_indices)})")
-    return 0
-
-
-def cmd_extract(args) -> int:
-    cfg = _load_config(args)
-    manifest = Manifest.load(args.manifest)
-    frame_counts = pipeline.extract_to_dir(manifest, cfg, args.out_dir)
+def _extract(manifest, cfg, out_dir) -> None:
+    frame_counts = pipeline.extract_to_dir(manifest, cfg, out_dir)
     for name in CLASS_NAMES:
         print(f"{name}: {frame_counts[name]} frames")
-    print(f"{len(manifest.records)} feature files written to {args.out_dir}")
-    return 0
+    print(f"{len(manifest.records)} feature files written to {out_dir}")
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    manifest = Manifest.load(args.manifest)
-    model, trace = pipeline.train_from_manifest(manifest, args.features, cfg)
-    save_checkpoint(model, args.out)
-    trace_path = args.trace or f"{args.out}.trace.csv"
-    save_trace_csv(trace, trace_path)
+def _train(manifest, features_dir, cfg, out):
+    model, trace = pipeline.train_from_manifest(manifest, features_dir, cfg)
+    save_checkpoint(model, out)
     if trace.losses:
         print(f"epochs: {len(trace.losses)}, final loss {trace.losses[-1]:.6f}, "
               f"final train frame accuracy {trace.accuracies[-1]:.4f}")
     else:
         print("epochs: 0 (checkpoint holds the initialized model)")
-    print(f"checkpoint: {args.out}")
-    print(f"trace: {trace_path}")
-    return 0
+    print(f"checkpoint: {out}")
+    return model, trace
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
-    manifest = Manifest.load(args.manifest)
-    model = _checked_model(args.checkpoint)
-    mats, labels = pipeline.test_set(manifest, args.features)
-    result = evaluate_pipeline(model, pipeline.kalman_config(cfg), mats, labels,
-                               fusion=cfg.fusion)
-    out_dir = Path(args.out_dir)
+def _print_tune(result) -> None:
+    for ratio in sorted(result.accuracies):
+        print(f"ratio {ratio:g}: accuracy {result.accuracies[ratio]:.4f}")
+    print(f"best ratio: {result.best_ratio:g} (q={result.best_q:g})")
+
+
+def _evaluate(model, kcfg, mats, labels, fusion, out_dir) -> None:
+    """Score the test split, write the three reports and print the summary."""
+    result = evaluate_pipeline(model, kcfg, mats, labels, fusion=fusion)
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result.report.save_json(out_dir / "eval_report.json")
     result.report.confusion.save_csv(out_dir / "confusion.csv")
@@ -111,6 +96,38 @@ def cmd_evaluate(args) -> int:
     print(f"utterance accuracy: {result.utterance_accuracy:.4f}")
     print(f"absolute gain: {result.gain.absolute_gain:+.4f}")
     print(f"reports written to {out_dir}")
+
+
+def cmd_manifest(args) -> int:
+    manifest = build_manifest(args.root)
+    manifest = split_manifest(manifest, args.test_fraction, args.seed)
+    manifest.save(args.out)
+    print(f"{len(manifest.records)} records "
+          f"(train={len(manifest.train_indices)}/test={len(manifest.test_indices)})")
+    return 0
+
+
+def cmd_extract(args) -> int:
+    cfg = _load_config(args)
+    _extract(Manifest.load(args.manifest), cfg, args.out_dir)
+    return 0
+
+
+def cmd_train(args) -> int:
+    cfg = _load_config(args)
+    _, trace = _train(Manifest.load(args.manifest), args.features, cfg, args.out)
+    trace_path = args.trace or f"{args.out}.trace.csv"
+    save_trace_csv(trace, trace_path)
+    print(f"trace: {trace_path}")
+    return 0
+
+
+def cmd_evaluate(args) -> int:
+    cfg = _load_config(args)
+    manifest = Manifest.load(args.manifest)
+    model = _checked_model(args.checkpoint)
+    mats, labels = pipeline.test_set(manifest, args.features)
+    _evaluate(model, pipeline.kalman_config(cfg), mats, labels, cfg.fusion, args.out_dir)
     return 0
 
 
@@ -129,25 +146,18 @@ def cmd_tune(args) -> int:
     cfg = _load_config(args)
     manifest = Manifest.load(args.manifest)
     model = _checked_model(args.checkpoint)
-    if not manifest.train_indices:
-        raise ValueError("manifest has no train split to tune on")
-    mats = pipeline.load_features_for_indices(args.features, manifest.train_indices)
-    labels = [int(manifest.records[i].emotion) for i in manifest.train_indices]
-    trajectories = [predict_frames(model, fm) for fm in mats]
     if args.grid is None:
         ratios = DEFAULT_RATIO_GRID
     else:
         ratios = [float(x) for x in args.grid.split(",") if x.strip()]
-    result = tune_qr_ratio(trajectories, labels, pipeline.kalman_config(cfg),
-                           ratios=ratios)
+    result = pipeline.tune_from_manifest(model, manifest, args.features,
+                                         pipeline.kalman_config(cfg), ratios=ratios)
     payload = {"best_ratio": result.best_ratio, "best_q": result.best_q,
                "accuracies": {str(k): v for k, v in result.accuracies.items()}}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    for ratio in sorted(result.accuracies):
-        print(f"ratio {ratio:g}: accuracy {result.accuracies[ratio]:.4f}")
-    print(f"best ratio: {result.best_ratio:g} (q={result.best_q:g})")
+    _print_tune(result)
     return 0
 
 
@@ -155,11 +165,34 @@ def cmd_synth(args) -> int:
     manifest = generate_synthetic_dataset(args.out_dir, per_class=args.per_class,
                                           sample_rate=args.sample_rate,
                                           duration=args.duration, seed=args.seed)
-    if args.test_fraction is not None:
-        manifest = split_manifest(manifest, args.test_fraction, args.seed)
+    manifest = split_manifest(manifest, args.test_fraction, args.seed)
     out = args.out or str(Path(args.out_dir) / "manifest.json")
     manifest.save(out)
     print(f"{len(manifest.records)} files under {args.out_dir}, manifest at {out}")
+    return 0
+
+
+def cmd_run(args) -> int:
+    """extract -> train -> tune q/r on the train split -> evaluate the test split."""
+    cfg = _load_config(args)
+    manifest = Manifest.load(args.manifest)
+    if not (manifest.train_indices and manifest.test_indices):
+        raise ValueError(f"{args.manifest}: run needs a train and a test split "
+                         f"(train={len(manifest.train_indices)}, "
+                         f"test={len(manifest.test_indices)})")
+    out_dir = Path(args.out_dir)
+    features_dir = out_dir / "features"
+    _extract(manifest, cfg, features_dir)
+    model, _ = _train(manifest, features_dir, cfg, out_dir / "model.ckpt")
+    kcfg = pipeline.kalman_config(cfg)
+    tuned = pipeline.tune_from_manifest(model, manifest, features_dir, kcfg)
+    _print_tune(tuned)
+    kcfg = replace(kcfg, q=tuned.best_q)
+    mats, labels = pipeline.test_set(manifest, features_dir)
+    _evaluate(model, kcfg, mats, labels, cfg.fusion, out_dir)
+    st = filter_trajectory(predict_frames(model, mats[0]), kcfg)
+    write_trajectory_csv(st, out_dir / "trajectory_000.csv", model.class_order)
+    print(f"first test trajectory: {out_dir / 'trajectory_000.csv'}")
     return 0
 
 
@@ -227,6 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-fraction", type=float, default=0.2,
                    help="split fraction; pass a value in (0,1)")
     p.set_defaults(func=cmd_synth)
+
+    p = sub.add_parser("run", help="extract, train, tune q/r and evaluate in one go")
+    p.add_argument("manifest", help="split manifest JSON path (from synth or manifest)")
+    p.add_argument("--out-dir", required=True,
+                   help="directory for features, checkpoint, reports and one trajectory")
+    p.add_argument("--config", help="pipeline config JSON")
+    p.add_argument("--seed", type=int, help="override config seed")
+    p.add_argument("--epochs", type=int, help="override config epochs")
+    p.set_defaults(func=cmd_run)
 
     return parser
 

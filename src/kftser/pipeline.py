@@ -1,6 +1,5 @@
 """Glue between the flat PipelineConfig and the per-module configs, plus
-the audio-to-features and manifest-to-dataset paths shared by the CLI and
-the experiment scripts.
+the audio-to-features and manifest-to-dataset paths the CLI runs.
 """
 
 from __future__ import annotations
@@ -15,9 +14,9 @@ from .dsp import FramingConfig, decode_wav, resample, trim_silence
 from .errors import KftserError
 from .features import (FeatureMatrix, MelFilterbank, build_mel_filterbank,
                        extract_features, fit_scaler, load_features, save_features)
-from .kalman import KalmanConfig
+from .kalman import DEFAULT_RATIO_GRID, KalmanConfig, TuneResult, tune_qr_ratio
 from .manifest import CLASS_NAMES, Manifest
-from .mlp import MlpModel, TrainConfig, TrainTrace, init_model, train
+from .mlp import MlpModel, TrainConfig, TrainTrace, init_model, predict_frames, train
 
 log = logging.getLogger("kftser.pipeline")
 
@@ -120,6 +119,16 @@ def train_from_manifest(manifest: Manifest, features_dir: str | Path,
     model = init_model(seed=cfg.seed, scaler=scaler)
     log.info("training on %d frames from %d utterances", len(rows), len(mats))
     return train(model, rows, frame_labels, train_config(cfg))
+
+
+def tune_from_manifest(model: MlpModel, manifest: Manifest, features_dir: str | Path,
+                       kcfg: KalmanConfig, ratios=DEFAULT_RATIO_GRID) -> TuneResult:
+    """Grid-search the q/r ratio by fused utterance accuracy on the train split."""
+    if not manifest.train_indices:
+        raise ValueError("manifest has no train split to tune on")
+    mats = load_features_for_indices(features_dir, manifest.train_indices)
+    return tune_qr_ratio([predict_frames(model, fm) for fm in mats],
+                         _labels_for(manifest, manifest.train_indices), kcfg, ratios=ratios)
 
 
 def test_set(manifest: Manifest, features_dir: str | Path):

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import shutil
 import subprocess
@@ -13,7 +15,7 @@ except ImportError:  # Python 3.10
 import numpy as np
 import pytest
 
-from kftser import Manifest, init_model, load_checkpoint, save_checkpoint
+from kftser import CLASS_NAMES, Manifest, init_model, load_checkpoint, save_checkpoint
 from kftser.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -271,6 +273,69 @@ class TestTune:
         assert "grid is empty" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def run_ws(cli_ws, tmp_path_factory):
+    """`kftser run` on the cli_ws manifest with the seed and epochs cli_ws trained at."""
+    out_dir = tmp_path_factory.mktemp("run_ws")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(["run", str(cli_ws["manifest"]), "--out-dir", str(out_dir),
+                   "--epochs", "12", "--seed", "3"])
+    assert rc == 0
+    return out_dir, stdout.getvalue()
+
+
+class TestRun:
+    def test_writes_every_artifact_and_prints_best_ratio(self, run_ws):
+        out_dir, stdout = run_ws
+        assert "best ratio:" in stdout
+        assert "utterance accuracy:" in stdout
+        for name in ("model.ckpt", "eval_report.json", "gain_report.json",
+                     "confusion.csv", "trajectory_000.csv"):
+            assert (out_dir / name).is_file(), name
+        assert len(list((out_dir / "features").glob("*.feat"))) == 16
+        report = json.loads((out_dir / "eval_report.json").read_text())
+        assert set(report["classes"]) == set(CLASS_NAMES)
+
+    def test_matches_extract_then_train(self, run_ws, cli_ws):
+        out_dir, _ = run_ws
+        assert (out_dir / "model.ckpt").read_bytes() == cli_ws["ckpt"].read_bytes()
+        for feat in sorted(cli_ws["features"].glob("*.feat")):
+            assert (out_dir / "features" / feat.name).read_bytes() == feat.read_bytes()
+
+    def test_matches_tune_then_evaluate_at_the_tuned_q(self, run_ws, cli_ws, tmp_path):
+        out_dir, _ = run_ws
+        common = [str(cli_ws["manifest"]), "--features", str(cli_ws["features"]),
+                  "--checkpoint", str(cli_ws["ckpt"])]
+        assert main(["tune", *common, "--out", str(tmp_path / "tune.json")]) == 0
+        best_q = json.loads((tmp_path / "tune.json").read_text())["best_q"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kalman_q": best_q}))
+        assert main(["evaluate", *common, "--out-dir", str(tmp_path / "r"),
+                     "--config", str(cfg)]) == 0
+        for name in ("eval_report.json", "gain_report.json", "confusion.csv"):
+            assert (out_dir / name).read_bytes() == (tmp_path / "r" / name).read_bytes()
+        manifest = Manifest.load(cli_ws["manifest"])
+        wav = manifest.records[manifest.test_indices[0]].file_path
+        assert main(["trajectory", wav, "--checkpoint", str(cli_ws["ckpt"]),
+                     "--out", str(tmp_path / "t.csv"), "--config", str(cfg)]) == 0
+        assert ((out_dir / "trajectory_000.csv").read_bytes()
+                == (tmp_path / "t.csv").read_bytes())
+
+    @pytest.mark.parametrize("split", ["train_indices", "test_indices"])
+    def test_unsplit_manifest_fails_before_extracting(self, cli_ws, tmp_path, capsys,
+                                                      split):
+        raw = json.loads(cli_ws["manifest"].read_text())
+        raw[split] = []
+        bad_manifest = tmp_path / "unsplit.json"
+        bad_manifest.write_text(json.dumps(raw))
+        rc = main(["run", str(bad_manifest), "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "run" / "features").exists()
+
+
 class TestLoggingEnv:
     def test_unknown_log_level_warns_and_proceeds(self, cli_ws, tmp_path, capsys,
                                                   monkeypatch):
@@ -306,8 +371,10 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path, child_env):
 
 def _assert_help(proc):
     assert proc.returncode == 0, proc.stderr
-    assert "manifest" in proc.stdout
     assert "usage: kftser" in proc.stdout
+    subcommands = {line.split()[0] for line in proc.stdout.splitlines()
+                   if line.startswith("    ")}
+    assert {"manifest", "run"} <= subcommands
 
 
 def test_console_script_and_module_entry(tmp_path, child_env):
@@ -330,6 +397,4 @@ def test_console_script_and_module_entry(tmp_path, child_env):
 @pytest.mark.skipif(shutil.which("kftser") is None,
                     reason="kftser console script is not installed on PATH")
 def test_installed_console_script():
-    proc = subprocess.run(["kftser", "--help"], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "manifest" in proc.stdout
+    _assert_help(subprocess.run(["kftser", "--help"], capture_output=True, text=True))
