@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import DecodeError
 
-DEFAULT_FRAME_LENGTH = 2048
-DEFAULT_HOP_LENGTH = 512
-
 
 @dataclass(frozen=True)
 class AudioClip:
@@ -42,9 +39,8 @@ class AudioClip:
 class FramingConfig:
     """Overlapped analysis frames: frame t covers [t*hop, t*hop + frame_length)."""
 
-    frame_length: int = DEFAULT_FRAME_LENGTH
-    hop_length: int = DEFAULT_HOP_LENGTH
-    center: bool = False
+    frame_length: int = 2048
+    hop_length: int = 512
 
     def __post_init__(self):
         if not (0 < self.hop_length <= self.frame_length):
@@ -67,7 +63,7 @@ def decode_wav(path: str | Path) -> AudioClip:
     if data[8:12] != b"WAVE":
         raise DecodeError(f"{path}: RIFF form is not WAVE (byte 8)")
 
-    fmt = None
+    fmt = fmt_pos = None
     raw = None
     pos = 12
     while pos + 8 <= len(data):
@@ -82,7 +78,7 @@ def decode_wav(path: str | Path) -> AudioClip:
         if chunk_id == b"fmt ":
             if size < 16:
                 raise DecodeError(f"{path}: fmt chunk too short (byte {pos})")
-            fmt = struct.unpack_from("<HHIIHH", data, payload_start)
+            fmt, fmt_pos = struct.unpack_from("<HHIIHH", data, payload_start), pos
         elif chunk_id == b"data":
             raw = data[payload_start : payload_start + size]
         pos = payload_start + size + (size & 1)  # chunks are word-aligned
@@ -94,7 +90,9 @@ def decode_wav(path: str | Path) -> AudioClip:
 
     audio_format, n_channels, sample_rate, _, _, bits = fmt
     if n_channels < 1:
-        raise DecodeError(f"{path}: fmt chunk declares {n_channels} channels")
+        raise DecodeError(f"{path}: fmt chunk declares {n_channels} channels (byte {fmt_pos})")
+    if sample_rate < 1:
+        raise DecodeError(f"{path}: fmt chunk declares sample rate {sample_rate} (byte {fmt_pos})")
     if (audio_format, bits) == (1, 16):
         dtype, scale = np.dtype("<i2"), 1.0 / 32768.0
     elif (audio_format, bits) == (3, 32):
@@ -160,11 +158,6 @@ def _resample_kernel(up: int, down: int) -> np.ndarray:
     return kernel
 
 
-def _frame_rms(samples: np.ndarray, cfg: FramingConfig) -> np.ndarray:
-    frames = _frame_array(samples, cfg)
-    return np.sqrt(np.mean(frames * frames, axis=1))
-
-
 def trim_silence(
     clip: AudioClip,
     threshold_db: float = 20.0,
@@ -178,7 +171,8 @@ def trim_silence(
     if threshold_db <= 0:
         raise ValueError(f"threshold_db must be positive, got {threshold_db}")
     cfg = cfg or FramingConfig()
-    rms = _frame_rms(clip.samples, cfg)
+    frames = frame_signal(clip, cfg)
+    rms = np.sqrt(np.mean(frames * frames, axis=1))
     keep = rms >= rms.max() * 10.0 ** (-threshold_db / 20.0)
     if keep.any():
         kept = np.flatnonzero(keep)
@@ -190,22 +184,16 @@ def trim_silence(
     return AudioClip(clip.samples[start:end], clip.sample_rate)
 
 
-def _frame_array(samples: np.ndarray, cfg: FramingConfig) -> np.ndarray:
-    if cfg.center:
-        pad = cfg.frame_length // 2
-        samples = np.concatenate([np.zeros(pad), samples, np.zeros(pad)])
-    n = len(samples)
-    n_frames = -(-n // cfg.hop_length)  # ceil(n / hop)
-    padded_len = (n_frames - 1) * cfg.hop_length + cfg.frame_length
-    padded = np.concatenate([samples, np.zeros(padded_len - n)])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, cfg.frame_length)
-    return windows[:: cfg.hop_length][:n_frames].copy()
-
-
 def frame_signal(clip: AudioClip, cfg: FramingConfig) -> np.ndarray:
     """Slice a clip into overlapping frames, zero-padding the tail.
 
-    Returns a (T, frame_length) array with T = ceil(len / hop) when
-    centering is off (the default).
+    Returns a (T, frame_length) array with T = ceil(len / hop): frame t
+    starts at sample t * hop.
     """
-    return _frame_array(np.asarray(clip.samples, dtype=np.float64), cfg)
+    samples = np.asarray(clip.samples, dtype=np.float64)
+    n = len(samples)
+    n_frames = -(-n // cfg.hop_length)  # ceil(n / hop)
+    padded = np.zeros((n_frames - 1) * cfg.hop_length + cfg.frame_length)
+    padded[:n] = samples
+    windows = np.lib.stride_tricks.sliding_window_view(padded, cfg.frame_length)
+    return windows[:: cfg.hop_length].copy()

@@ -5,7 +5,6 @@ z-score scaler fitted on training rows only.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +44,7 @@ def mel_to_hz(m):
 
 @dataclass(frozen=True)
 class MelFilterbank:
-    """Triangular mel filters with unit peak amplitude.
+    """Triangular mel filters with unit peak amplitude, spanning 0 Hz to Nyquist.
 
     filters has shape (n_filters, n_fft//2 + 1); center_freqs holds the
     Hz position of each triangle's peak for spectral sanity checks.
@@ -54,8 +53,6 @@ class MelFilterbank:
     n_filters: int
     filters: np.ndarray
     center_freqs: np.ndarray
-    fmin: float
-    fmax: float
     n_fft: int
     sample_rate: int
 
@@ -64,17 +61,11 @@ def build_mel_filterbank(
     n_filters: int = 40,
     sample_rate: int = 22050,
     n_fft: int = 2048,
-    fmin: float = 0.0,
-    fmax: float | None = None,
 ) -> MelFilterbank:
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    if not 0 <= fmin < fmax <= sample_rate / 2.0:
-        raise ValueError(f"need 0 <= fmin < fmax <= nyquist, got fmin={fmin}, fmax={fmax}")
     if n_filters < 1:
         raise ValueError("n_filters must be >= 1")
 
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_filters + 2))
+    edges_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_filters + 2))
     bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
 
     weights = np.zeros((n_filters, len(bin_freqs)))
@@ -88,8 +79,6 @@ def build_mel_filterbank(
         n_filters=n_filters,
         filters=weights,
         center_freqs=edges_hz[1:-1].copy(),
-        fmin=fmin,
-        fmax=fmax,
         n_fft=n_fft,
         sample_rate=sample_rate,
     )
@@ -115,13 +104,12 @@ def mel_energies(frames: np.ndarray, fb: MelFilterbank) -> np.ndarray:
     return np.matmul(fb.filters, power[..., None])[..., 0]
 
 
-def compute_mfcc(frames: np.ndarray, fb: MelFilterbank,
-                 n_mfcc: int = N_MFCC, log_floor: float = 1e-10) -> np.ndarray:
-    """First n_mfcc coefficients of the orthonormal DCT-II of the log mel
+def compute_mfcc(frames: np.ndarray, fb: MelFilterbank, log_floor: float = 1e-10) -> np.ndarray:
+    """First N_MFCC coefficients of the orthonormal DCT-II of the log mel
     energies, per frame along the last axis (see mel_energies).
     """
     logged = np.log(mel_energies(frames, fb) + log_floor)
-    return dct(logged, type=2, norm="ortho", axis=-1)[..., :n_mfcc]
+    return dct(logged, type=2, norm="ortho", axis=-1)[..., :N_MFCC]
 
 
 def compute_delta(coeffs: np.ndarray, width: int = 9) -> np.ndarray:
@@ -233,7 +221,8 @@ def save_features(fm: FeatureMatrix, path: str | Path) -> None:
         fh.write(fm.rows.astype("<f8").tobytes())
 
 
-def load_features(path: str | Path, utterance_id: str | None = None) -> FeatureMatrix:
+def load_features(path: str | Path) -> FeatureMatrix:
+    """Read a file written by save_features; the utterance id is the file stem."""
     raw = Path(path).read_bytes()
     if raw[: len(FEATURE_FILE_MAGIC)] != FEATURE_FILE_MAGIC:
         raise FeatureFileError(f"{path}: bad feature-file magic")
@@ -246,13 +235,5 @@ def load_features(path: str | Path, utterance_id: str | None = None) -> FeatureM
     if len(body) != t * c * 8:
         raise FeatureFileError(f"{path}: expected {t * c * 8} payload bytes, found {len(body)}")
     rows = np.frombuffer(body, dtype="<f8").reshape(t, c)
-    if utterance_id is None:
-        utterance_id = Path(path).stem
-    return FeatureMatrix(rows=rows.copy(), utterance_id=utterance_id)
+    return FeatureMatrix(rows=rows.copy(), utterance_id=Path(path).stem)
 
-
-def save_features_csv(fm: FeatureMatrix, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_COLUMNS)
-        writer.writerows(fm.rows.tolist())

@@ -11,13 +11,13 @@ import enum
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dsp
-from .errors import EmptyDatasetError, FilenameParseError
+from .errors import EmptyDatasetError, FilenameParseError, KftserError
 
 log = logging.getLogger("kftser.manifest")
 
@@ -114,8 +114,18 @@ class Manifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "Manifest":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """Read a manifest written by save; a malformed one raises KftserError naming path."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                manifest = cls.from_dict(json.load(fh))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise KftserError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from exc
+        n = len(manifest.records)
+        bad = [i for i in manifest.train_indices + manifest.test_indices if not 0 <= i < n]
+        if bad:
+            raise KftserError(f"{path}: malformed manifest (split indices {bad} outside "
+                              f"the {n} records)")
+        return manifest
 
 
 def parse_ravdess_filename(name: str) -> UtteranceRecord | None:
@@ -182,16 +192,7 @@ def build_manifest(root: str | Path) -> Manifest:
             continue
         if parsed is None:
             continue
-        records.append(
-            UtteranceRecord(
-                file_path=str(path),
-                emotion=parsed.emotion,
-                actor_id=parsed.actor_id,
-                intensity=parsed.intensity,
-                statement=parsed.statement,
-                repetition=parsed.repetition,
-            )
-        )
+        records.append(replace(parsed, file_path=str(path)))
     if not records:
         raise EmptyDatasetError(f"no four-class utterances found under {root}")
     records.sort(key=lambda r: r.file_path)
@@ -343,15 +344,6 @@ def generate_synthetic_dataset(
                           sample_rate)
             parsed = parse_ravdess_filename(name)
             assert parsed is not None
-            records.append(
-                UtteranceRecord(
-                    file_path=str(path),
-                    emotion=parsed.emotion,
-                    actor_id=parsed.actor_id,
-                    intensity=parsed.intensity,
-                    statement=parsed.statement,
-                    repetition=parsed.repetition,
-                )
-            )
+            records.append(replace(parsed, file_path=str(path)))
     records.sort(key=lambda r: r.file_path)
     return Manifest(records=records, split_seed=seed)

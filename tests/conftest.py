@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import kftser
-from kftser import PipelineConfig, generate_synthetic_dataset, split_manifest
+from kftser.config import PipelineConfig
+from kftser.manifest import generate_synthetic_dataset, split_manifest
 from kftser import pipeline
 
 

@@ -15,7 +15,8 @@ except ImportError:  # Python 3.10
 import numpy as np
 import pytest
 
-from kftser import CLASS_NAMES, Manifest, init_model, load_checkpoint, save_checkpoint
+from kftser.manifest import CLASS_NAMES, Manifest
+from kftser.mlp import init_model, load_checkpoint, save_checkpoint
 from kftser.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -107,6 +108,24 @@ class TestExtract:
         assert rc == 1
         assert "gone.wav" in capsys.readouterr().err
         assert list(out_dir.glob("*.feat")) == []
+
+    @pytest.mark.parametrize("mangle", [
+        lambda raw: '{"records": []}',
+        lambda raw: json.dumps({**raw, "records": [{**raw["records"][0], "emotion": "bored"}]
+                                + raw["records"][1:]}),
+        lambda raw: "[]",
+        lambda raw: '{"records": [',
+        lambda raw: json.dumps({**raw, "test_indices": [len(raw["records"])]}),
+    ], ids=["no-split-keys", "unknown-emotion", "json-list", "bad-json", "index-out-of-range"])
+    def test_malformed_manifest_is_a_runtime_error(self, cli_ws, tmp_path, capsys, mangle):
+        bad = tmp_path / "bad.json"
+        bad.write_text(mangle(json.loads(cli_ws["manifest"].read_text())))
+        rc = main(["extract", str(bad), "--out-dir", str(tmp_path / "feats")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: malformed manifest")
+        assert "Traceback" not in err
+        assert not (tmp_path / "feats").exists()
 
     def test_unknown_config_key_is_an_argument_error(self, cli_ws, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -250,6 +269,17 @@ class TestTrajectory:
         rc = main(["trajectory", str(tmp_path / "nope.wav"),
                    "--checkpoint", str(cli_ws["ckpt"]), "--out", str(tmp_path / "t.csv")])
         assert rc == 1
+
+    def test_zero_sample_rate_is_a_runtime_error(self, cli_ws, tmp_path, capsys):
+        raw = bytearray(sorted(cli_ws["audio"].glob("*.wav"))[0].read_bytes())
+        raw[24:28] = bytes(4)  # the fmt chunk's sample-rate field
+        wav = tmp_path / "zero_rate.wav"
+        wav.write_bytes(bytes(raw))
+        rc = main(["trajectory", str(wav), "--checkpoint", str(cli_ws["ckpt"]),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {wav}: ") and "sample rate 0 (byte 12)" in err
 
 
 class TestTune:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from kftser import ConfigError, PipelineConfig
+from kftser.config import PipelineConfig
+from kftser.errors import ConfigError
 from kftser.cli import main
 
 

@@ -6,18 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kftser import (
+from kftser.evaluation import (
     ConfusionMatrix,
     GainReport,
-    KalmanConfig,
-    MlpModel,
     classification_report,
     confusion_matrix,
     evaluate_pipeline,
-    filter_batch,
     fuse_utterance,
     synth_noisy_trajectories,
 )
+from kftser.kalman import KalmanConfig, filter_batch
+from kftser.mlp import MlpModel
 
 
 class TestFusion:

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.fft import dct, idct
 
-from kftser import (
-    AudioClip,
+from kftser.dsp import AudioClip, FramingConfig, frame_signal, resample
+from kftser.errors import FeatureFileError
+from kftser.features import (
+    FEATURE_COLUMNS,
+    N_FEATURES,
     FeatureMatrix,
-    FramingConfig,
     apply_scaler,
     build_mel_filterbank,
     compute_delta,
@@ -17,15 +19,12 @@ from kftser import (
     compute_zcr,
     extract_features,
     fit_scaler,
-    frame_signal,
     hz_to_mel,
     load_features,
+    mel_energies,
     mel_to_hz,
     save_features,
 )
-from kftser.dsp import resample
-from kftser.errors import FeatureFileError
-from kftser.features import FEATURE_COLUMNS, N_FEATURES, mel_energies, save_features_csv
 
 
 class TestMelScale:
@@ -53,7 +52,8 @@ class TestFilterbank:
         assert fb.center_freqs.shape == (40,)
         assert np.all(fb.filters >= 0.0)
         assert np.all(fb.filters <= 1.0 + 1e-12)
-        assert fb.fmax == 11025.0
+        edges = mel_to_hz(np.linspace(0.0, hz_to_mel(11025.0), 42))
+        assert np.array_equal(fb.center_freqs, edges[1:-1])
 
     def test_each_filter_unimodal_contiguous(self):
         fb = build_mel_filterbank()
@@ -80,12 +80,6 @@ class TestFilterbank:
             assert int(np.argmax(mel_energies(frame, fb))) == k
 
     def test_band_limits_validated(self):
-        with pytest.raises(ValueError):
-            build_mel_filterbank(fmin=-1.0)
-        with pytest.raises(ValueError):
-            build_mel_filterbank(fmin=5000.0, fmax=4000.0)
-        with pytest.raises(ValueError):
-            build_mel_filterbank(sample_rate=16000, fmax=9000.0)
         with pytest.raises(ValueError):
             build_mel_filterbank(n_filters=0)
 
@@ -334,13 +328,6 @@ class TestFeatureIo:
         path.write_bytes(bytes(raw[: 16 + 2 * 40 * 8]))
         with pytest.raises(FeatureFileError, match="40 columns"):
             load_features(path)
-
-    def test_csv_header(self, tmp_path, rng):
-        fm = FeatureMatrix(rows=rng.normal(size=(3, N_FEATURES)))
-        path = tmp_path / "x.csv"
-        save_features_csv(fm, path)
-        header = path.read_text().splitlines()[0]
-        assert header == ",".join(FEATURE_COLUMNS)
 
     def test_column_names(self):
         assert len(FEATURE_COLUMNS) == 41

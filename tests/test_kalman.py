@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kftser import (
+from kftser.evaluation import fuse_utterance, synth_noisy_trajectories
+from kftser.kalman import (
+    DEFAULT_RATIO_GRID,
     KalmanConfig,
     filter_batch,
     filter_trajectory,
-    fuse_utterance,
     rts_smooth,
-    synth_noisy_trajectories,
     tune_qr_ratio,
+    write_trajectory_csv,
 )
 from kftser import kalman
-from kftser.kalman import DEFAULT_RATIO_GRID, write_trajectory_csv
 from kftser.manifest import CLASS_NAMES
 
 

@@ -7,22 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kftser import (
-    EmptyDatasetError,
+from kftser.dsp import FramingConfig, decode_wav
+from kftser.errors import EmptyDatasetError, FilenameParseError
+from kftser.features import build_mel_filterbank, extract_features
+from kftser.manifest import (
+    CLASS_NAMES,
     Emotion,
-    FilenameParseError,
-    FramingConfig,
     Manifest,
     UtteranceRecord,
     build_manifest,
-    build_mel_filterbank,
-    decode_wav,
-    extract_features,
     generate_synthetic_dataset,
     parse_ravdess_filename,
     split_manifest,
 )
-from kftser.manifest import CLASS_NAMES
 
 
 def test_emotion_order_is_alphabetical():

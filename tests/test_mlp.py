@@ -4,14 +4,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from kftser import (
-    CheckpointError,
-    FeatureMatrix,
+from kftser.errors import CheckpointError
+from kftser.features import FeatureMatrix, ScalerStats, apply_scaler
+from kftser.mlp import (
+    DEFAULT_LAYER_DIMS,
+    AdamState,
     MlpModel,
-    ScalerStats,
     TrainConfig,
     adam_step,
-    apply_scaler,
     backward,
     cross_entropy,
     forward,
@@ -20,10 +20,10 @@ from kftser import (
     load_checkpoint,
     predict_frames,
     save_checkpoint,
+    save_trace_csv,
     softmax,
     train,
 )
-from kftser.mlp import DEFAULT_LAYER_DIMS, AdamState, save_trace_csv
 
 
 def _zeroed(dims):

@@ -1,21 +1,23 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from kftser import (
-    KftserError,
-    Manifest,
-    PipelineConfig,
-    load_features_for_indices,
-    train_from_manifest,
-    wav_to_features,
-    write_wav,
-)
+from kftser.config import PipelineConfig
+from kftser.dsp import write_wav
+from kftser.errors import KftserError
+from kftser.features import save_features
+from kftser.manifest import Manifest, generate_synthetic_dataset
 from kftser.pipeline import (
+    extract_to_dir,
     feature_filename,
     framing_config,
     kalman_config,
+    load_features_for_indices,
     mel_filterbank,
     train_config,
+    train_from_manifest,
+    wav_to_features,
 )
 from kftser.pipeline import test_set as load_test_set
 
@@ -24,7 +26,7 @@ class TestConfigAdapters:
     def test_framing(self):
         cfg = PipelineConfig(frame_length=1024, hop_length=256)
         fcfg = framing_config(cfg)
-        assert (fcfg.frame_length, fcfg.hop_length, fcfg.center) == (1024, 256, False)
+        assert (fcfg.frame_length, fcfg.hop_length) == (1024, 256)
 
     def test_filterbank(self):
         fb = mel_filterbank(PipelineConfig(n_mels=30, sample_rate=16000, frame_length=1024))
@@ -101,3 +103,37 @@ class TestDatasetAssembly:
         assert len(mats) == len(labels) == len(tone_workspace["manifest"].test_indices)
         assert all(0 <= y < 4 for y in labels)
         assert all(fm.rows.shape[1] == 41 for fm in mats)
+
+
+def _feature_hashes(tmp_path):
+    cfg = PipelineConfig()
+    manifest = generate_synthetic_dataset(tmp_path / "audio", per_class=2, seed=5)
+    extract_to_dir(manifest, cfg, tmp_path / "features")
+    paths = sorted((tmp_path / "features").glob("*.feat"))
+
+    # 48 kHz: a tone between two near-silent stretches, so resampling runs and
+    # trim_silence cuts both ends.
+    rate = 48000
+    noise = np.random.default_rng(5).normal(0.0, 1e-4, rate // 2)
+    tone = 0.5 * np.sin(2 * np.pi * 330.0 * np.arange(rate) / rate)
+    write_wav(tmp_path / "hi.wav", np.concatenate([noise[::2], tone, noise[1::2]]), rate)
+    fm = wav_to_features(tmp_path / "hi.wav", cfg)
+    assert fm.n_frames < 1.5 * cfg.sample_rate / cfg.hop_length
+    save_features(fm, tmp_path / "hi.feat")
+    paths.append(tmp_path / "hi.feat")
+    return [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
+
+
+def test_feature_files_match_golden_bytes(tmp_path):
+    """.feat bytes are pinned for eight 22,050 Hz clips and one 48 kHz clip."""
+    assert _feature_hashes(tmp_path) == [
+        "038430249d01e0048824aecac63d8c39a6e349b1308be4aeff028137700fadd9",
+        "3d08693e131926b23092285bb4053cf3072bc3768b9b0df32d51a3c7f4931b29",
+        "56bab3022b54872064d132c9df3fd78b0c7e3a1d3437822013501f3390c3181b",
+        "ed1865eac1d60d3fd195e12a9ce2eeea04bb10b4eb3db912d24b1422f146ab57",
+        "216732f1209a32909beb1518e4c198f5027f6e41a1ea388176025a33096eda21",
+        "13364c63e4b0817bd58126a89ac0d628c217a55fe31863e73eeffadb06dcde31",
+        "f7bff9054fb80a3c702b7e025346fa73a22a5c1f93a5b56ed73e3ed7e3d3c5f8",
+        "67a4c3a2f0278800dc2719a41369cf6e74618030ba11e25e45bf0d5d7990017d",
+        "cc539b7900e232eb225edc5d30ee3063c61b9b2181ab62e39120709d40f1b4ff",
+    ]
