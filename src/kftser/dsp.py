@@ -55,7 +55,8 @@ def decode_wav(path: str | Path) -> AudioClip:
 
     Supports 16-bit integer (scaled by 1/32768) and 32-bit IEEE float
     payloads; stereo is downmixed by averaging the channels. Anything
-    else raises DecodeError with the byte offset of the problem.
+    else raises DecodeError with the byte offset of the problem, and a
+    NaN or infinite float sample raises it with the sample's index.
     """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[0:4] != b"RIFF":
@@ -113,8 +114,17 @@ def decode_wav(path: str | Path) -> AudioClip:
     if not raw:
         raise DecodeError(f"{path}: data chunk is empty")
 
-    frames = np.frombuffer(raw, dtype=dtype).astype(np.float64)
-    mono = frames.reshape(-1, n_channels).mean(axis=1) * scale
+    values = np.frombuffer(raw, dtype=dtype)
+    if dtype.kind == "f" and not np.isfinite(values).all():
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise DecodeError(
+            f"{path}: non-finite sample {values[bad]} at sample index {bad // n_channels}"
+            + (f", channel {bad % n_channels}" if n_channels > 1 else "")
+        )
+    if n_channels == 1:
+        mono = np.multiply(values, scale, dtype=np.float64)
+    else:
+        mono = values.astype(np.float64).reshape(-1, n_channels).mean(axis=1) * scale
     return AudioClip(mono, sample_rate)
 
 
@@ -171,8 +181,7 @@ def trim_silence(
     if threshold_db <= 0:
         raise ValueError(f"threshold_db must be positive, got {threshold_db}")
     cfg = cfg or FramingConfig()
-    frames = frame_signal(clip, cfg)
-    rms = np.sqrt(np.mean(frames * frames, axis=1))
+    rms = frame_rms(padded_signal(clip, cfg), cfg)
     keep = rms >= rms.max() * 10.0 ** (-threshold_db / 20.0)
     if keep.any():
         kept = np.flatnonzero(keep)
@@ -184,16 +193,34 @@ def trim_silence(
     return AudioClip(clip.samples[start:end], clip.sample_rate)
 
 
-def frame_signal(clip: AudioClip, cfg: FramingConfig) -> np.ndarray:
-    """Slice a clip into overlapping frames, zero-padding the tail.
-
-    Returns a (T, frame_length) array with T = ceil(len / hop): frame t
-    starts at sample t * hop.
+def padded_signal(clip: AudioClip, cfg: FramingConfig) -> np.ndarray:
+    """The clip as float64, zero-padded at the tail to (T - 1) * hop + frame_length
+    samples, T = ceil(len / hop): exactly what T frames cover.
     """
     samples = np.asarray(clip.samples, dtype=np.float64)
     n = len(samples)
     n_frames = -(-n // cfg.hop_length)  # ceil(n / hop)
     padded = np.zeros((n_frames - 1) * cfg.hop_length + cfg.frame_length)
     padded[:n] = samples
-    windows = np.lib.stride_tricks.sliding_window_view(padded, cfg.frame_length)
-    return windows[:: cfg.hop_length].copy()
+    return padded
+
+
+def frame_view(signal: np.ndarray, cfg: FramingConfig) -> np.ndarray:
+    """Read-only (T, frame_length) strided view of a padded 1-D signal; row t
+    starts at sample t * hop. Nothing is copied.
+    """
+    return np.lib.stride_tricks.sliding_window_view(signal, cfg.frame_length)[:: cfg.hop_length]
+
+
+def frame_rms(padded: np.ndarray, cfg: FramingConfig) -> np.ndarray:
+    """Root mean square of every frame, from one 1-D pass of squares."""
+    return np.sqrt(np.mean(frame_view(padded * padded, cfg), axis=1))
+
+
+def frame_signal(clip: AudioClip, cfg: FramingConfig) -> np.ndarray:
+    """Slice a clip into overlapping frames, zero-padding the tail.
+
+    Returns a read-only (T, frame_length) strided view with
+    T = ceil(len / hop): frame t starts at sample t * hop.
+    """
+    return frame_view(padded_signal(clip, cfg), cfg)

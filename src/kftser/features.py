@@ -5,6 +5,7 @@ z-score scaler fitted on training rows only.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 from scipy.fft import dct
 
-from .dsp import AudioClip, FramingConfig, frame_signal
+from .dsp import AudioClip, FramingConfig, frame_rms, frame_view, padded_signal
 from .errors import FeatureFileError
 
 N_MFCC = 13
@@ -75,6 +76,7 @@ def build_mel_filterbank(
         falling = (hi - bin_freqs) / (hi - center)
         weights[m] = np.clip(np.minimum(rising, falling), 0.0, None)
 
+    weights.setflags(write=False)
     return MelFilterbank(
         n_filters=n_filters,
         filters=weights,
@@ -84,8 +86,11 @@ def build_mel_filterbank(
     )
 
 
+@functools.lru_cache(maxsize=8)
 def _hann(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window.setflags(write=False)
+    return window
 
 
 def mel_energies(frames: np.ndarray, fb: MelFilterbank) -> np.ndarray:
@@ -147,6 +152,17 @@ def compute_zcr(frame: np.ndarray) -> float:
     return float(np.count_nonzero(nonneg[1:] != nonneg[:-1]) / (len(frame) - 1))
 
 
+def _frame_zcr(padded: np.ndarray, cfg: FramingConfig) -> np.ndarray:
+    """compute_zcr of every frame: sign changes counted once over the padded
+    signal, each frame's count the difference of a running total at its ends.
+    """
+    nonneg = padded >= 0
+    running = np.zeros(len(padded), dtype=np.int64)
+    np.cumsum(nonneg[1:] != nonneg[:-1], out=running[1:])
+    starts = np.arange(0, len(padded) - cfg.frame_length + 1, cfg.hop_length)
+    return (running[starts + cfg.frame_length - 1] - running[starts]) / (cfg.frame_length - 1)
+
+
 @dataclass
 class FeatureMatrix:
     """T x 41 per-frame features for one utterance, columns in FEATURE_COLUMNS order."""
@@ -180,13 +196,12 @@ def extract_features(
     if cfg.frame_length != fb.n_fft:
         raise ValueError(f"frame_length {cfg.frame_length} != filterbank n_fft {fb.n_fft}")
 
-    frames = frame_signal(clip, cfg)
-    mfcc = compute_mfcc(frames, fb, log_floor=log_floor)
+    padded = padded_signal(clip, cfg)
+    mfcc = compute_mfcc(frame_view(padded, cfg), fb, log_floor=log_floor)
     delta = compute_delta(mfcc, delta_width)
     deltadelta = compute_delta(delta, delta_width)
-    rmse = np.sqrt(np.mean(frames * frames, axis=1))
-    nonneg = frames >= 0
-    zcr = np.count_nonzero(nonneg[:, 1:] != nonneg[:, :-1], axis=1) / (frames.shape[1] - 1)
+    rmse = frame_rms(padded, cfg)
+    zcr = _frame_zcr(padded, cfg)
 
     rows = np.hstack([mfcc, delta, deltadelta, rmse[:, None], zcr[:, None]])
     return FeatureMatrix(rows=rows, utterance_id=utterance_id)

@@ -4,6 +4,7 @@ the audio-to-features and manifest-to-dataset paths the CLI runs.
 
 from __future__ import annotations
 
+import functools
 import logging
 from pathlib import Path
 
@@ -26,8 +27,13 @@ def framing_config(cfg: PipelineConfig) -> FramingConfig:
 
 
 def mel_filterbank(cfg: PipelineConfig) -> MelFilterbank:
-    return build_mel_filterbank(n_filters=cfg.n_mels, sample_rate=cfg.sample_rate,
-                                n_fft=cfg.frame_length)
+    """The config's filterbank, built once per (n_mels, sample_rate, frame_length)."""
+    return _filterbank(cfg.n_mels, cfg.sample_rate, cfg.frame_length)
+
+
+@functools.lru_cache(maxsize=8)
+def _filterbank(n_mels: int, sample_rate: int, n_fft: int) -> MelFilterbank:
+    return build_mel_filterbank(n_filters=n_mels, sample_rate=sample_rate, n_fft=n_fft)
 
 
 def train_config(cfg: PipelineConfig) -> TrainConfig:
@@ -42,15 +48,13 @@ def kalman_config(cfg: PipelineConfig) -> KalmanConfig:
 
 
 def wav_to_features(path: str | Path, cfg: PipelineConfig,
-                    fb: MelFilterbank | None = None, utterance_id: str = "") -> FeatureMatrix:
+                    utterance_id: str = "") -> FeatureMatrix:
     """Decode, standardize the rate, trim silence, and extract features."""
-    if fb is None:
-        fb = mel_filterbank(cfg)
     clip = decode_wav(path)
     fcfg = framing_config(cfg)
     clip = resample(clip, cfg.sample_rate)
     clip = trim_silence(clip, cfg.trim_threshold_db, fcfg)
-    return extract_features(clip, fcfg, fb, delta_width=cfg.delta_width,
+    return extract_features(clip, fcfg, mel_filterbank(cfg), delta_width=cfg.delta_width,
                             log_floor=cfg.log_floor, utterance_id=utterance_id)
 
 
@@ -66,14 +70,13 @@ def extract_to_dir(manifest: Manifest, cfg: PipelineConfig, out_dir: str | Path)
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fb = mel_filterbank(cfg)
     frame_counts = {name: 0 for name in CLASS_NAMES}
     written = []
     try:
         for i, rec in enumerate(manifest.records):
             if not Path(rec.file_path).is_file():
                 raise KftserError(f"audio file missing: {rec.file_path}")
-            fm = wav_to_features(rec.file_path, cfg, fb=fb, utterance_id=f"{i:05d}")
+            fm = wav_to_features(rec.file_path, cfg, utterance_id=f"{i:05d}")
             path = out_dir / feature_filename(i)
             save_features(fm, path)
             written.append(path)

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -280,6 +281,21 @@ class TestTrajectory:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {wav}: ") and "sample rate 0 (byte 12)" in err
+
+    def test_non_finite_float_audio_is_a_runtime_error(self, cli_ws, tmp_path, capsys):
+        samples = np.full(22050, 0.25, dtype="<f4")
+        samples[300] = np.nan
+        fmt = struct.pack("<HHIIHH", 3, 1, 22050, 22050 * 4, 4, 32)
+        body = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        body += b"data" + struct.pack("<I", samples.nbytes) + samples.tobytes()
+        wav = tmp_path / "nan.wav"
+        wav.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+        rc = main(["trajectory", str(wav), "--checkpoint", str(cli_ws["ckpt"]),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {wav}: non-finite sample") and "index 300" in err
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestTune:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -19,7 +21,10 @@ from kftser.dsp import (
     write_wav,
     _resample_kernel,
 )
+from kftser.config import PipelineConfig
 from kftser.errors import DecodeError
+from kftser.features import save_features
+from kftser.pipeline import wav_to_features
 
 
 def _wav_bytes(fmt_tag, channels, rate, bits, payload, extra_chunks=(), data_size=None):
@@ -89,6 +94,20 @@ class TestDecodeWav:
         with pytest.raises(DecodeError, match=message):
             decode_wav(_write(tmp_path, blob))
 
+    @pytest.mark.parametrize(
+        "channels, values, where",
+        [
+            (1, [0.5, np.nan, 0.25], "sample index 1"),
+            (1, [np.inf] * 3, "sample index 0"),
+            (2, [0.5, 0.5, 0.25, -np.inf], "sample index 1, channel 1"),
+        ],
+    )
+    def test_non_finite_float_samples_raise(self, tmp_path, channels, values, where):
+        payload = np.array(values, dtype="<f4").tobytes()
+        path = _write(tmp_path, _wav_bytes(3, channels, 8000, 32, payload))
+        with pytest.raises(DecodeError, match=f"^{re.escape(str(path))}: non-finite sample .* at {where}$"):
+            decode_wav(path)
+
     def test_short_fmt_chunk(self, tmp_path):
         body = b"fmt " + struct.pack("<I", 8) + b"\x00" * 8
         body += b"data" + struct.pack("<I", 2) + b"\x00\x00"
@@ -114,6 +133,32 @@ class TestDecodeWav:
         assert clip.sample_rate == 22050
         assert len(clip.samples) == 501
         np.testing.assert_allclose(clip.samples, samples, rtol=0, atol=1.0 / 16384)
+
+    def test_stereo_int16_and_mono_float32_features_match_golden_bytes(self, tmp_path):
+        """.feat bytes are pinned for both decode branches: channel mean and mono scaling."""
+        rng = np.random.default_rng(9)
+        rate = 44100
+        t = np.arange(rate) / rate
+        left = 0.4 * np.sin(2 * np.pi * 220.0 * t) + 0.01 * rng.normal(size=rate)
+        right = 0.3 * np.sin(2 * np.pi * 550.0 * t) + 0.01 * rng.normal(size=rate)
+        ints = np.round(np.stack([left, right], axis=1) * 32767).astype("<i2")
+        _write(tmp_path, _wav_bytes(1, 2, rate, 16, ints.tobytes()), "stereo.wav")
+        rate = 48000
+        t = np.arange(rate) / rate
+        mono = 0.5 * np.sin(2 * np.pi * 330.0 * t) * np.hanning(rate)
+        mono = (mono + 1e-3 * rng.normal(size=rate)).astype("<f4")
+        mono[::7] = -0.0
+        _write(tmp_path, _wav_bytes(3, 1, rate, 32, mono.tobytes()), "float.wav")
+
+        hashes = []
+        for name in ("stereo", "float"):
+            save_features(wav_to_features(tmp_path / f"{name}.wav", PipelineConfig()),
+                          tmp_path / f"{name}.feat")
+            hashes.append(hashlib.sha256((tmp_path / f"{name}.feat").read_bytes()).hexdigest())
+        assert hashes == [
+            "080bfb387bda98ae3ee888be52fa39802cb08111eb96902f659afa15c9d8ab3f",
+            "0b4f67f4327348e730de3e7247caa511f8dd280bb0e8230f4f632e067e6fc59c",
+        ]
 
 
 class TestResample:
@@ -258,6 +303,11 @@ class TestFraming:
         clip = AudioClip(np.ones(4096), 22050)
         frames = frame_signal(clip, FramingConfig())
         assert frames.shape == (8, 2048)
+
+    def test_frames_are_read_only_views(self):
+        frames = frame_signal(AudioClip(np.ones(100), 8000), FramingConfig(16, 4))
+        with pytest.raises(ValueError, match="read-only"):
+            frames[0, 0] = 1.0
 
     def test_exact_fit_has_no_padding(self):
         x = np.arange(1, 17, dtype=np.float64)

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.fft import dct, idct
 
-from kftser.dsp import AudioClip, FramingConfig, frame_signal, resample
+from kftser.dsp import AudioClip, FramingConfig, frame_signal, resample, trim_silence
 from kftser.errors import FeatureFileError
 from kftser.features import (
     FEATURE_COLUMNS,
     N_FEATURES,
+    N_MFCC,
     FeatureMatrix,
     apply_scaler,
     build_mel_filterbank,
@@ -255,6 +256,80 @@ class TestExtractFeatures:
             FeatureMatrix(rows=np.zeros((5, 40)))
         with pytest.raises(ValueError):
             FeatureMatrix(rows=np.zeros(41))
+
+
+def _copied_frames(samples, cfg):
+    """Framing as a copy: every frame its own row of a new (T, frame_length) array."""
+    n = len(samples)
+    n_frames = -(-n // cfg.hop_length)
+    padded = np.zeros((n_frames - 1) * cfg.hop_length + cfg.frame_length)
+    padded[:n] = samples
+    windows = np.lib.stride_tricks.sliding_window_view(padded, cfg.frame_length)
+    return windows[:: cfg.hop_length].copy()
+
+
+def _reference_rms(frames):
+    return np.sqrt(np.mean(frames * frames, axis=1))
+
+
+def _reference_zcr(frames):
+    nonneg = frames >= 0
+    return np.count_nonzero(nonneg[:, 1:] != nonneg[:, :-1], axis=1) / (frames.shape[1] - 1)
+
+
+def _reference_trim(clip, threshold_db, cfg):
+    rms = _reference_rms(_copied_frames(clip.samples, cfg))
+    keep = np.flatnonzero(rms >= rms.max() * 10.0 ** (-threshold_db / 20.0))
+    first, last = (keep[0], keep[-1]) if len(keep) else (rms.argmax(), rms.argmax())
+    end = min(len(clip.samples), last * cfg.hop_length + cfg.frame_length)
+    return clip.samples[first * cfg.hop_length : end]
+
+
+def _reference_rows(clip, cfg, fb):
+    frames = _copied_frames(clip.samples, cfg)
+    mfcc = compute_mfcc(frames, fb)
+    delta = compute_delta(mfcc)
+    return np.hstack([mfcc, delta, compute_delta(delta),
+                      _reference_rms(frames)[:, None], _reference_zcr(frames)[:, None]])
+
+
+@st.composite
+def _framed_clips(draw):
+    """A (frame, hop) pair and a clip from one sample to a few frames long."""
+    frame = draw(st.integers(min_value=2, max_value=40))
+    hop = draw(st.one_of(st.just(frame), st.integers(min_value=1, max_value=frame)))
+    n = draw(st.one_of(st.integers(min_value=1, max_value=4 * frame),
+                       st.integers(min_value=1, max_value=5).map(lambda k: k * hop)))
+    kind = draw(st.sampled_from(["random", "zeros", "negative zeros", "alternating"]))
+    if kind == "random":
+        samples = draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    elif kind == "zeros":
+        samples = np.zeros(n)
+    elif kind == "negative zeros":
+        samples = np.full(n, -0.0)
+    else:
+        amplitude = draw(st.floats(min_value=1e-6, max_value=1.0))
+        samples = amplitude * (-1.0) ** np.arange(n)
+    return AudioClip(samples, 8000), FramingConfig(frame, hop)
+
+
+class TestMatchesCopyingReference:
+    """Trim and extraction on strided views give the bytes of copied frames."""
+
+    @given(clip_cfg=_framed_clips(), threshold=st.floats(min_value=1.0, max_value=60.0))
+    @settings(max_examples=150, deadline=None)
+    def test_trim_silence(self, clip_cfg, threshold):
+        clip, cfg = clip_cfg
+        got = trim_silence(clip, threshold, cfg).samples
+        assert got.tobytes() == _reference_trim(clip, threshold, cfg).tobytes()
+
+    @given(clip_cfg=_framed_clips(), n_filters=st.integers(min_value=N_MFCC, max_value=20))
+    @settings(max_examples=150, deadline=None)
+    def test_extract_features(self, clip_cfg, n_filters):
+        clip, cfg = clip_cfg
+        fb = build_mel_filterbank(n_filters=n_filters, sample_rate=8000, n_fft=cfg.frame_length)
+        got = extract_features(clip, cfg, fb).rows
+        assert got.tobytes() == _reference_rows(clip, cfg, fb).tobytes()
 
 
 class TestScaler:

@@ -34,6 +34,15 @@ class TestConfigAdapters:
         assert fb.sample_rate == 16000
         assert fb.n_fft == 1024
 
+    def test_filterbank_is_built_once_and_read_only(self):
+        cfg = PipelineConfig(n_mels=30, sample_rate=16000, frame_length=1024)
+        fb = mel_filterbank(cfg)
+        assert mel_filterbank(PipelineConfig(n_mels=30, sample_rate=16000,
+                                             frame_length=1024)) is fb
+        assert mel_filterbank(PipelineConfig()) is not fb
+        with pytest.raises(ValueError, match="read-only"):
+            fb.filters[0, 0] = 1.0
+
     def test_training(self):
         cfg = PipelineConfig(learning_rate=0.01, batch_size=32, epochs=7, seed=4)
         tcfg = train_config(cfg)
