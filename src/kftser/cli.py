@@ -78,6 +78,10 @@ def _print_tune(result) -> None:
     for ratio in sorted(result.accuracies):
         print(f"ratio {ratio:g}: accuracy {result.accuracies[ratio]:.4f}")
     print(f"best ratio: {result.best_ratio:g} (q={result.best_q:g})")
+    scores = set(result.accuracies.values())
+    if len(result.accuracies) > 1 and len(scores) == 1:
+        print(f"note: all {len(result.accuracies)} ratios tie at accuracy {scores.pop():.4f}, "
+              "so the pick is the smallest ratio, the edge of the grid")
 
 
 def _evaluate(model, kcfg, mats, labels, fusion, out_dir) -> None:

@@ -215,12 +215,3 @@ def frame_view(signal: np.ndarray, cfg: FramingConfig) -> np.ndarray:
 def frame_rms(padded: np.ndarray, cfg: FramingConfig) -> np.ndarray:
     """Root mean square of every frame, from one 1-D pass of squares."""
     return np.sqrt(np.mean(frame_view(padded * padded, cfg), axis=1))
-
-
-def frame_signal(clip: AudioClip, cfg: FramingConfig) -> np.ndarray:
-    """Slice a clip into overlapping frames, zero-padding the tail.
-
-    Returns a read-only (T, frame_length) strided view with
-    T = ceil(len / hop): frame t starts at sample t * hop.
-    """
-    return frame_view(padded_signal(clip, cfg), cfg)

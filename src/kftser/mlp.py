@@ -7,8 +7,12 @@ one flat vector in checkpoint order (all weights, then all biases).
 from __future__ import annotations
 
 import csv
+import ctypes
 import struct
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +231,48 @@ def adam_step(model: MlpModel, grad: np.ndarray, state: AdamState, cfg: TrainCon
     p -= a
 
 
+@cache
+def _openblas_threads():
+    """(get, set) for the thread count of the OpenBLAS numpy loaded, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread, then restore the count it had.
+
+    The count is process-wide: other BLAS users in the process see one
+    thread meanwhile. Without an OpenBLAS this does nothing.
+    """
+    fns = _openblas_threads()
+    if fns is None:
+        yield
+        return
+    get, put = fns
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _frame_accuracy(model: MlpModel, rows: np.ndarray, labels: np.ndarray,
+                    out: list[np.ndarray]) -> float:
+    logits, _ = forward_trace(model, rows, out)
+    return float(np.mean(logits.argmax(axis=1) == labels))
+
+
 def train(model: MlpModel, rows: np.ndarray, labels: np.ndarray,
           cfg: TrainConfig | None = None):
     """Fit the classifier in place; returns (model, trace).
@@ -234,6 +280,10 @@ def train(model: MlpModel, rows: np.ndarray, labels: np.ndarray,
     rows are raw feature rows; the model's scaler (fitted on exactly these
     rows by the caller) is applied here. Shuffling and batching are seeded,
     so a fixed (model, data, cfg) triple reproduces bit-identical weights.
+
+    BLAS runs on one thread here. Each epoch's full-set accuracy is scored
+    on a worker thread from a copy of the parameters taken at the end of
+    that epoch, while this thread trains the next one.
     """
     cfg = cfg or TrainConfig()
     rows = np.asarray(rows, dtype=np.float64)
@@ -253,24 +303,32 @@ def train(model: MlpModel, rows: np.ndarray, labels: np.ndarray,
     grad = np.empty_like(model.params)
     spaces = {b: _Workspace(model, b, grad) for b in {min(size, n), n % size} - {0}}
     full_out = [np.empty((n, d)) for d in model.layer_dims[1:]]
+    snapshot = MlpModel(layer_dims=model.layer_dims, params=np.empty_like(model.params))
 
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
-        epoch_loss = 0.0
-        for start in range(0, n, size):
-            idx = order[start : start + size]
-            ws = spaces[len(idx)]
-            np.take(rows, idx, axis=0, out=ws.x)
-            np.take(labels, idx, out=ws.labels)
-            logits, acts = forward_trace(model, ws.x, ws.out)
-            backward(model, acts, logits, ws.labels, ws)
-            # cross_entropy(logits, labels), from the softmax backward kept
-            lse = np.log(ws.col[:, 0])
-            epoch_loss += float(np.mean(lse - ws.shifted[ws.rows, ws.labels])) * len(idx)
-            adam_step(model, grad, state, cfg)
-        logits, _ = forward_trace(model, rows, full_out)
-        trace.losses.append(epoch_loss / n)
-        trace.accuracies.append(float(np.mean(logits.argmax(axis=1) == labels)))
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as scorer:
+        scored = None  # the previous epoch's accuracy, still being computed
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+            epoch_loss = 0.0
+            for start in range(0, n, size):
+                idx = order[start : start + size]
+                ws = spaces[len(idx)]
+                np.take(rows, idx, axis=0, out=ws.x)
+                np.take(labels, idx, out=ws.labels)
+                logits, acts = forward_trace(model, ws.x, ws.out)
+                backward(model, acts, logits, ws.labels, ws)
+                # cross_entropy(logits, labels), from the softmax backward kept
+                lse = np.log(ws.col[:, 0])
+                epoch_loss += float(np.mean(lse - ws.shifted[ws.rows, ws.labels])) * len(idx)
+                adam_step(model, grad, state, cfg)
+            trace.losses.append(epoch_loss / n)
+            # the snapshot and full_out are reused only once the last pass is read
+            if scored is not None:
+                trace.accuracies.append(scored.result())
+            np.copyto(snapshot.params, model.params)
+            scored = scorer.submit(_frame_accuracy, snapshot, rows, labels, full_out)
+        if scored is not None:
+            trace.accuracies.append(scored.result())
 
     return model, trace
 

@@ -18,7 +18,8 @@ import pytest
 
 from kftser.manifest import CLASS_NAMES, Manifest
 from kftser.mlp import init_model, load_checkpoint, save_checkpoint
-from kftser.cli import main
+from kftser.cli import _print_tune, main
+from kftser.kalman import TuneResult
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONSOLE_SCRIPT = "kftser.cli:main"
@@ -311,6 +312,27 @@ class TestTune:
         assert set(payload["accuracies"]) == {"0.001", "0.1"}
         assert "best ratio:" in capsys.readouterr().out
 
+    def test_a_grid_where_every_ratio_ties_says_so(self, cli_ws, tmp_path, capsys):
+        out = tmp_path / "tune.json"
+        rc = main(["tune", str(cli_ws["manifest"]), "--features", str(cli_ws["features"]),
+                   "--checkpoint", str(cli_ws["ckpt"]), "--grid", "0.01,0.0001,0.001",
+                   "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert len(set(payload["accuracies"].values())) == 1  # the model fits its train split
+        assert payload["best_ratio"] == 0.0001
+        stdout = capsys.readouterr().out
+        tie = [line for line in stdout.splitlines() if line.startswith("note:")]
+        assert tie == [f"note: all 3 ratios tie at accuracy "
+                       f"{payload['accuracies']['0.0001']:.4f}, so the pick is the smallest "
+                       "ratio, the edge of the grid"]
+
+    def test_no_tie_note_when_the_ratios_differ(self, capsys):
+        _print_tune(TuneResult(best_ratio=0.01, best_q=0.001,
+                               accuracies={0.001: 0.5, 0.01: 0.75}))
+        _print_tune(TuneResult(best_ratio=0.01, best_q=0.001, accuracies={0.01: 0.75}))
+        assert "note:" not in capsys.readouterr().out
+
     def test_empty_grid_is_an_argument_error(self, cli_ws, tmp_path, capsys):
         rc = main(["tune", str(cli_ws["manifest"]), "--features", str(cli_ws["features"]),
                    "--checkpoint", str(cli_ws["ckpt"]), "--grid", ",",
@@ -342,6 +364,14 @@ class TestRun:
         assert len(list((out_dir / "features").glob("*.feat"))) == 16
         report = json.loads((out_dir / "eval_report.json").read_text())
         assert set(report["classes"]) == set(CLASS_NAMES)
+
+    def test_prints_the_tie_when_every_ratio_ties(self, run_ws):
+        _, stdout = run_ws
+        scores = {line.split("accuracy ")[1] for line in stdout.splitlines()
+                  if line.startswith("ratio ")}
+        assert len(scores) == 1
+        assert (f"note: all 5 ratios tie at accuracy {scores.pop()}, so the pick is the "
+                "smallest ratio, the edge of the grid") in stdout.splitlines()
 
     def test_matches_extract_then_train(self, run_ws, cli_ws):
         out_dir, _ = run_ws
@@ -398,7 +428,9 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path, child_env):
     script = ("import sys; from kftser.cli import main; m = sys.argv[1]; "
               "assert main(['extract', m, '--out-dir', 'features']) == 0; "
               "assert main(['train', m, '--features', 'features', '--out', 'model.ckpt', "
-              "'--epochs', '2', '--seed', '5']) == 0")
+              "'--epochs', '2', '--seed', '5']) == 0; "
+              "assert main(['evaluate', m, '--features', 'features', '--checkpoint', "
+              "'model.ckpt', '--out-dir', 'reports']) == 0")
     runs = {}
     for threads in ("1", "2"):
         root = tmp_path / f"threads{threads}"
@@ -407,9 +439,11 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path, child_env):
                               capture_output=True, text=True, cwd=root,
                               env=child_env(OPENBLAS_NUM_THREADS=threads))
         assert proc.returncode == 0, proc.stderr
-        runs[threads] = {p.relative_to(root).as_posix(): p.read_bytes()
-                         for p in sorted(root.glob("features/*.feat")) + [root / "model.ckpt"]}
-    assert len(runs["1"]) == 13
+        outputs = sorted(root.glob("features/*.feat")) + [
+            root / "model.ckpt", *(root / "reports" / name for name in (
+                "eval_report.json", "gain_report.json", "confusion.csv"))]
+        runs[threads] = {p.relative_to(root).as_posix(): p.read_bytes() for p in outputs}
+    assert len(runs["1"]) == 16
     assert runs["1"].keys() == runs["2"].keys()
     differing = [name for name in runs["1"] if runs["1"][name] != runs["2"][name]]
     assert not differing, f"bytes differ between 1 and 2 BLAS threads: {differing}"

@@ -15,7 +15,8 @@ from kftser.dsp import (
     AudioClip,
     FramingConfig,
     decode_wav,
-    frame_signal,
+    frame_view,
+    padded_signal,
     resample,
     trim_silence,
     write_wav,
@@ -295,30 +296,33 @@ class TestFraming:
         for frame in range(1, 9):
             for hop in range(1, frame + 1):
                 for n in range(1, 41):
-                    x = rng.normal(size=n)
-                    got = frame_signal(AudioClip(x, 8000), FramingConfig(frame, hop))
+                    x, cfg = rng.normal(size=n), FramingConfig(frame, hop)
+                    got = frame_view(padded_signal(AudioClip(x, 8000), cfg), cfg)
                     assert np.array_equal(got, _naive_frames(x, frame, hop))
 
     def test_default_frame_count_for_short_clip(self):
-        clip = AudioClip(np.ones(4096), 22050)
-        frames = frame_signal(clip, FramingConfig())
+        cfg = FramingConfig()
+        frames = frame_view(padded_signal(AudioClip(np.ones(4096), 22050), cfg), cfg)
         assert frames.shape == (8, 2048)
 
     def test_frames_are_read_only_views(self):
-        frames = frame_signal(AudioClip(np.ones(100), 8000), FramingConfig(16, 4))
+        cfg = FramingConfig(16, 4)
+        frames = frame_view(padded_signal(AudioClip(np.ones(100), 8000), cfg), cfg)
         with pytest.raises(ValueError, match="read-only"):
             frames[0, 0] = 1.0
 
     def test_exact_fit_has_no_padding(self):
         x = np.arange(1, 17, dtype=np.float64)
-        frames = frame_signal(AudioClip(x, 8000), FramingConfig(8, 8))
+        cfg = FramingConfig(8, 8)
+        frames = frame_view(padded_signal(AudioClip(x, 8000), cfg), cfg)
         assert frames.shape == (2, 8)
         assert np.array_equal(frames[0], x[:8])
         assert np.array_equal(frames[1], x[8:])
 
     def test_constant_signal_frames_identical_except_tail(self):
         x = np.full(100, 2.5)
-        frames = frame_signal(AudioClip(x, 8000), FramingConfig(16, 4))
+        cfg = FramingConfig(16, 4)
+        frames = frame_view(padded_signal(AudioClip(x, 8000), cfg), cfg)
         full = (np.arange(frames.shape[0]) * 4 + 16) <= 100
         assert np.array_equal(frames[full], np.full((full.sum(), 16), 2.5))
         assert frames[-1, -1] == 0.0

@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from kftser import mlp
 from kftser.errors import CheckpointError
 from kftser.features import FeatureMatrix, ScalerStats, apply_scaler
 from kftser.mlp import (
@@ -448,18 +452,87 @@ def _golden_hashes(tmp_path, dims, n_rows, epochs):
             for name in ("model.ckpt", "train_trace.csv")]
 
 
-@pytest.mark.parametrize(
-    "dims, n_rows, epochs, want",
-    [
-        # 150 rows = two batches of 64 plus a partial batch of 22
-        ((41, 32, 4), 150, 6,
-         ["92d2612c166897ee4308d5dd04bc2ee8284e54c652bcef161f5da9471100c933",
-          "ff219ab231a6940017893efa4b51ef923e59faa6b2145ff45fc2998d9e2d0816"]),
-        (DEFAULT_LAYER_DIMS, 200, 3,
-         ["e95246b4596dcfe5cdc705539b89dad8d5345512a3cfb3424a06924467d047a2",
-          "4ae5b703f93e5936cc7021d36d8befc178942970ab31a51e14213abcdfd93bd4"]),
-    ],
-)
+GOLDEN = [
+    # 150 rows = two batches of 64 plus a partial batch of 22
+    ((41, 32, 4), 150, 6,
+     ["92d2612c166897ee4308d5dd04bc2ee8284e54c652bcef161f5da9471100c933",
+      "ff219ab231a6940017893efa4b51ef923e59faa6b2145ff45fc2998d9e2d0816"]),
+    (DEFAULT_LAYER_DIMS, 200, 3,
+     ["e95246b4596dcfe5cdc705539b89dad8d5345512a3cfb3424a06924467d047a2",
+      "4ae5b703f93e5936cc7021d36d8befc178942970ab31a51e14213abcdfd93bd4"]),
+]
+
+
+@pytest.mark.parametrize("dims, n_rows, epochs, want", GOLDEN)
 def test_training_artifacts_match_golden_bytes(tmp_path, dims, n_rows, epochs, want):
     """Checkpoint and trace bytes are pinned, not only compared run to run."""
     assert _golden_hashes(tmp_path, dims, n_rows, epochs) == want
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS set to two threads for the test, then back; yields its getter."""
+    fns = mlp._openblas_threads()
+    if fns is None:
+        pytest.skip("numpy is not linked to an OpenBLAS this process can find")
+    get, put = fns
+    before = get()
+    put(2)
+    try:
+        yield get
+    finally:
+        put(before)
+
+
+@pytest.mark.parametrize("dims, n_rows, epochs, want", GOLDEN)
+def test_golden_bytes_do_not_depend_on_the_blas_cap(tmp_path, monkeypatch, two_blas_threads,
+                                                   dims, n_rows, epochs, want):
+    """Without the one-thread cap, the background accuracy pass runs beside
+    two-thread BLAS on the training thread; a short switch interval makes the
+    two threads interleave often. The bytes must not move."""
+    monkeypatch.setattr(mlp, "_one_blas_thread", contextlib.nullcontext)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert _golden_hashes(tmp_path, dims, n_rows, epochs) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestTrainThreads:
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_one_blas_thread_inside_and_the_count_restored_after(
+            self, rng, monkeypatch, two_blas_threads, epochs):
+        seen, real = [], mlp.forward_trace
+
+        def spy(model, x, out=None):
+            seen.append(two_blas_threads())
+            return real(model, x, out)
+
+        monkeypatch.setattr(mlp, "forward_trace", spy)
+        rows, labels = _blobs(rng, n_per_class=10)
+        threads = set(threading.enumerate())
+        _, trace = train(init_model((2, 8, 4), seed=0), rows, labels,
+                         TrainConfig(epochs=epochs, batch_size=8))
+        assert len(trace.losses) == len(trace.accuracies) == epochs
+        assert seen == [1] * epochs * 6  # 5 batches and one full-set pass per epoch
+        assert two_blas_threads() == 2
+        assert set(threading.enumerate()) == threads
+
+    def test_failed_accuracy_pass_reaches_the_caller(self, rng, monkeypatch,
+                                                     two_blas_threads):
+        rows, labels = _blobs(rng, n_per_class=10)
+        real = mlp.forward_trace
+
+        def fail_on_full_set(model, x, out=None):
+            if len(x) == len(rows):
+                raise RuntimeError("injected accuracy-pass failure")
+            return real(model, x, out)
+
+        monkeypatch.setattr(mlp, "forward_trace", fail_on_full_set)
+        threads = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="injected accuracy-pass failure"):
+            train(init_model((2, 8, 4), seed=0), rows, labels,
+                  TrainConfig(epochs=3, batch_size=8))
+        assert two_blas_threads() == 2
+        assert set(threading.enumerate()) == threads
