@@ -184,11 +184,14 @@ def cmd_run(args) -> int:
         raise ValueError(f"{args.manifest}: run needs a train and a test split "
                          f"(train={len(manifest.train_indices)}, "
                          f"test={len(manifest.test_indices)})")
+    kcfg = pipeline.kalman_config(cfg)
+    if kcfg.r == 0:
+        raise ValueError(f"run tunes q as ratio*kalman_r, so it needs kalman_r > 0, "
+                         f"got kalman_r={kcfg.r}")
     out_dir = Path(args.out_dir)
     features_dir = out_dir / "features"
     _extract(manifest, cfg, features_dir)
     model, _ = _train(manifest, features_dir, cfg, out_dir / "model.ckpt")
-    kcfg = pipeline.kalman_config(cfg)
     tuned = pipeline.tune_from_manifest(model, manifest, features_dir, kcfg)
     _print_tune(tuned)
     kcfg = replace(kcfg, q=tuned.best_q)

@@ -16,14 +16,18 @@ The gain never depends on the measurements, so one schedule serves every
 trajectory and class, and the filter acts as a tuned temporal low-pass over
 the classifier output. The Rauch-Tung-Striebel smoother (AIAA J., 1965)
 reduces the same way, to the scalar gain p_t / p_{t+1}^p. A q/r grid search
-rides on top; it filters every candidate q in the same pass.
+rides on top; it filters every candidate q in the same pass. Schedules are
+cached per (q, r, length), so trajectories of one length share one.
 
 The recursion has two loops with the same arithmetic in the same order. A
 batch, or several q at once (the tune grid), advances through numpy
-buffers, one time step per set of array calls. A single trajectory at a
-single q with dim < 8 runs on Python floats, where numpy's per-call
-overhead would outweigh the arithmetic; the smoother always does. The
-selection depends only on the input's shape. test_kalman.py's
+buffers, one time step per set of array calls. The batch is sorted by
+length, longest first, and shrinks as trajectories end, so no step is
+spent on padding. The tune keeps no filtered rows: each trajectory's mean
+row is summed as it goes and fused when its last row is written. A single
+trajectory at a single q with dim < 8 runs on Python floats, where numpy's
+per-call overhead would outweigh the arithmetic; the smoother always does.
+The selection depends only on the input's shape. test_kalman.py's
 TestFilterBatch::test_matches_per_trajectory_filtering holds the two loops
 byte-equal on both sides of the width cut.
 """
@@ -31,6 +35,8 @@ byte-equal on both sides of the width cut.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -97,8 +103,14 @@ def _as_measurements(m, cfg: KalmanConfig) -> np.ndarray:
     return z
 
 
+@functools.lru_cache(maxsize=64)
 def _schedule(q: float, r: float, t_max: int):
-    """Predicted variance, gain and filtered variance for steps 0..t_max-1."""
+    """Predicted variance, gain and filtered variance for steps 0..t_max-1.
+
+    Cached per (q, r, t_max): trajectories of one length share a schedule.
+    The three arrays are read-only, and callers copy before handing any out,
+    so no caller can change what a later one reads.
+    """
     p_pred, gain, p_filt = [], [], []
     p = 1.0
     for _ in range(t_max):
@@ -108,11 +120,13 @@ def _schedule(q: float, r: float, t_max: int):
         p_pred.append(pp)
         gain.append(k)
         p_filt.append(p)
-    return p_pred, gain, p_filt
+    sched = np.array([p_pred, gain, p_filt])
+    sched.flags.writeable = False
+    return sched[0], sched[1], sched[2]
 
 
 def _filter_floats(z: np.ndarray, gains: list[float], dim: int,
-                   renormalize: bool) -> list[list[float]]:
+                   renormalize: bool) -> list[float]:
     """_filter's numpy loop for one trajectory at one q, on Python floats.
 
     Every operation is the one the numpy loop does, in its order: x + k*(z - x),
@@ -120,10 +134,11 @@ def _filter_floats(z: np.ndarray, gains: list[float], dim: int,
     is 0 becomes the uniform row. One frame thus costs one short Python
     loop instead of about ten numpy calls on (1, 1, dim) arrays.
     The sum is an explicit loop: the built-in sum() is compensated from
-    Python 3.12 on and would change the bits.
+    Python 3.12 on and would change the bits. Returns the rows back to back
+    in one flat list, which numpy converts far faster than a list of rows.
     """
     uniform = [1.0 / dim] * dim
-    x, rows = uniform, []
+    x, flat = uniform, []
     for zt, k in zip(z.tolist(), gains):
         if not renormalize:
             x = [a + k * (b - a) for a, b in zip(x, zt)]
@@ -135,61 +150,95 @@ def _filter_floats(z: np.ndarray, gains: list[float], dim: int,
                 s += v
                 clamped.append(v)
             x = [v / s for v in clamped] if s else uniform
-        rows.append(x)
-    return rows
+        flat += x
+    return flat
 
 
-def _filter(arrays: list[np.ndarray], cfg: KalmanConfig, qs=None):
+def _filter(arrays: list[np.ndarray], cfg: KalmanConfig, fuse_qs=None):
     """The one recursion: filtered means of a batch under one or more q values.
 
-    Measurements are zero-padded to the longest trajectory and laid out
-    time-major, (T_max, B, dim). Each q in qs (default: cfg.q) gets its own
-    scalar schedule and its own (B, dim) slice of the state; the measurements
-    broadcast across the q axis. Each step writes straight into its output
-    row through preallocated buffers. Row b of the output is valid up to
-    that trajectory's length; padded steps never feed back into valid ones.
-    One trajectory at one q with dim < 8 runs the same steps in
-    _filter_floats instead. Returns (means (T_max, n_q, B, dim), predicted
-    variances (n_q, T_max), filtered variances (n_q, T_max)).
+    Trajectories are sorted longest first (stably). Between two consecutive
+    distinct lengths the same trajectories are active, the first n of the
+    order, so each such stretch advances one (n_q, n, dim) prefix of the
+    state through preallocated buffers, one time step per set of array calls,
+    and the batch shrinks as trajectories end: no step computes a padded slot.
+    Each q gets its own scalar schedule and its own (n, dim) slice of the
+    state; the measurements broadcast across the q axis.
+
+    Without fuse_qs the batch runs at cfg.q and the first return value is
+    each trajectory's (T, dim) filtered means, in input order; one
+    trajectory with dim < 8 runs the same steps in _filter_floats instead.
+    With fuse_qs (the tune grid) no row is kept: each (q, trajectory) keeps
+    a running sum of its rows, and when its last row is written the sum
+    divided by its length becomes its mean row. The sum adds row after row
+    to 0.0, as numpy's mean over axis 0 of a C-contiguous (T, dim) array
+    does for dim >= 2; the first return value is then the (n_q, B, dim)
+    mean rows, in input order.
+
+    Also returns the predicted and filtered variances, (n_q, T_max) each.
     """
-    qs = [cfg.q] if qs is None else list(qs)
-    t_max, batch, dim = max(a.shape[0] for a in arrays), len(arrays), cfg.dim
+    qs = [cfg.q] if fuse_qs is None else list(fuse_qs)
+    order = sorted(range(len(arrays)), key=lambda i: -arrays[i].shape[0])
+    lengths = [arrays[i].shape[0] for i in order]
+    t_max, batch, dim, n_q = lengths[0], len(arrays), cfg.dim, len(qs)
     schedules = [_schedule(q, cfg.r, t_max) for q in qs]
-    p_pred, gains, p_filt = (np.array(v) for v in zip(*schedules))
-    if batch == 1 and len(qs) == 1 and dim < 8:
+    p_pred, gains, p_filt = (np.stack(v) for v in zip(*schedules))
+    if fuse_qs is None and batch == 1 and dim < 8:
         # numpy's last-axis add.reduce sums a row left to right only up to
         # width 7 (wider rows are summed in unrolled partial sums), so only
         # below that width can a float loop reproduce the row sums bit for bit
-        _, gain, _ = schedules[0]
-        rows = _filter_floats(arrays[0], gain, dim, cfg.renormalize)
-        return np.array(rows).reshape(t_max, 1, 1, dim), p_pred, p_filt
+        flat = _filter_floats(arrays[0], gains[0].tolist(), dim, cfg.renormalize)
+        return [np.fromiter(flat, np.float64, len(flat)).reshape(t_max, dim)], p_pred, p_filt
 
-    z = np.zeros((t_max, batch, dim))
-    for i, a in enumerate(arrays):
-        z[: a.shape[0], i] = a
-    gains = gains.T.reshape(t_max, len(qs), 1, 1)
-
-    out = np.empty((t_max, len(qs), batch, dim))
-    x = np.full((len(qs), batch, dim), 1.0 / dim)
+    gains = gains.T.reshape(t_max, n_q, 1, 1)
+    x = np.full((n_q, batch, dim), 1.0 / dim)
     step = np.empty_like(x)
     clipped = np.empty_like(x)
-    sums = np.empty((len(qs), batch, 1))
-    for zt, row, g in zip(z, out, gains):
-        np.subtract(zt, x, out=step)
-        np.multiply(step, g, out=step)
-        np.add(x, step, out=row)
-        if cfg.renormalize:
-            # _renorm_rows' projection in place; the function itself runs only
-            # when some row clamps to all zeros
-            np.maximum(row, 0.0, out=clipped)
-            np.minimum(clipped, 1.0, out=clipped)
-            np.add.reduce(clipped, axis=-1, keepdims=True, out=sums)
-            if sums.all():
-                np.divide(clipped, sums, out=row)
-            else:
-                row[...] = _renorm_rows(row, dim)
-        x = row
-    return out, p_pred, p_filt
+    sums = np.empty((n_q, batch, 1))
+    if fuse_qs is None:
+        out = np.empty((t_max, n_q, batch, dim))
+    else:
+        total = np.zeros_like(x)
+        fused = np.empty_like(x)
+    active, t_start = batch, 0
+    for t_end in sorted(set(lengths)):
+        # views onto the still-active prefix, bound once per stretch
+        zs = np.stack([arrays[i][t_start:t_end] for i in order[:active]], axis=1)
+        x, step_n, clipped_n, sums_n = (a[:, :active] for a in (x, step, clipped, sums))
+        if fuse_qs is None:
+            rows = out[t_start:t_end, :, :active]
+        else:
+            total_n = total[:, :active]
+            rows = itertools.repeat(x)  # the state is updated in place
+        for zt, row, g in zip(zs, rows, gains[t_start:t_end]):
+            np.subtract(zt, x, out=step_n)
+            np.multiply(step_n, g, out=step_n)
+            np.add(x, step_n, out=row)
+            if cfg.renormalize:
+                # _renorm_rows' projection in place; the function itself runs
+                # only when some row clamps to all zeros
+                np.maximum(row, 0.0, out=clipped_n)
+                np.minimum(clipped_n, 1.0, out=clipped_n)
+                np.add.reduce(clipped_n, axis=-1, keepdims=True, out=sums_n)
+                if sums_n.all():
+                    np.divide(clipped_n, sums_n, out=row)
+                else:
+                    row[...] = _renorm_rows(row, dim)
+            x = row
+            if fuse_qs is not None:
+                np.add(total_n, row, out=total_n)
+        ending = lengths.count(t_end)
+        if fuse_qs is not None:
+            done = slice(active - ending, active)
+            np.divide(total[:, done], t_end, out=fused[:, done])
+        active -= ending
+        t_start = t_end
+
+    position = np.argsort(order)  # column of each input trajectory
+    if fuse_qs is not None:
+        return fused[:, position], p_pred, p_filt
+    return ([out[: a.shape[0], 0, j].copy() for a, j in zip(arrays, position)],
+            p_pred, p_filt)
 
 
 @dataclass
@@ -216,8 +265,8 @@ def filter_trajectory(measurements: np.ndarray, cfg: KalmanConfig) -> SmoothedTr
     Causal: row t of the output depends only on measurements 0..t.
     """
     z = _as_measurements(measurements, cfg)
-    out, p_pred, p_filt = _filter([z], cfg)
-    return SmoothedTrajectory(raw=z.copy(), filtered=out.reshape(z.shape),
+    (filtered,), p_pred, p_filt = _filter([z], cfg)
+    return SmoothedTrajectory(raw=z.copy(), filtered=filtered,
                               predicted_var=p_pred[0], filtered_var=p_filt[0])
 
 
@@ -233,8 +282,7 @@ def filter_batch(measurement_list, cfg: KalmanConfig) -> list[np.ndarray]:
     arrays = [_as_measurements(m, cfg) for m in measurement_list]
     if not arrays:
         return []
-    out, _, _ = _filter(arrays, cfg)
-    return [out[: a.shape[0], 0, i].copy() for i, a in enumerate(arrays)]
+    return _filter(arrays, cfg)[0]
 
 
 def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
@@ -245,16 +293,18 @@ def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
     final smoothed step equals the final filtered step exactly. The pass runs
     on Python floats, a + g*(b - a) per element, which gives the bits of the
     same update as a numpy row loop at a fraction of its per-call cost.
+    The rows are collected last first in one flat list and put back in time
+    order by one copy.
     """
     filtered = st.filtered.tolist()
     gain = (st.filtered_var[:-1] / st.predicted_var[1:]).tolist()
     nxt = filtered[-1]
-    means = [nxt]
+    flat = list(nxt)
     for f, g in zip(filtered[-2::-1], gain[::-1]):
         nxt = [a + g * (b - a) for a, b in zip(f, nxt)]
-        means.append(nxt)
-    means.reverse()
-    return np.array(means)
+        flat += nxt
+    means = np.fromiter(flat, np.float64, len(flat)).reshape(len(filtered), -1)
+    return means[::-1].copy()
 
 
 def write_trajectory_csv(st: SmoothedTrajectory, path: str | Path, class_names) -> None:
@@ -284,11 +334,11 @@ def tune_qr_ratio(measurement_list, labels, cfg: KalmanConfig,
                   ratios=DEFAULT_RATIO_GRID) -> TuneResult:
     """Grid-search q as ratio*r (r held fixed) by fused utterance accuracy.
 
-    Every candidate runs in one pass of the batched recursion. Ties between
-    ratios go to the smaller ratio, i.e. the more smoothed filter.
+    Every candidate runs in one pass of the batched recursion, which keeps
+    only each trajectory's mean row; the decision is its argmax, exactly as
+    fuse_utterance's mean rule on filter_batch's rows. Ties between ratios go
+    to the smaller ratio, i.e. the more smoothed filter.
     """
-    from .evaluation import fuse_utterance
-
     labels = np.asarray(labels, dtype=np.intp)
     if len(labels) != len(measurement_list):
         raise ValueError("one label per trajectory required")
@@ -297,16 +347,16 @@ def tune_qr_ratio(measurement_list, labels, cfg: KalmanConfig,
     ratios = sorted(float(x) for x in ratios)
     if not ratios:
         raise ValueError("ratio grid is empty")
+    if cfg.r == 0:
+        raise ValueError(f"tuning q as ratio*r needs kalman_r > 0, got kalman_r={cfg.r}")
     qs = [replace(cfg, q=ratio * cfg.r).q for ratio in ratios]  # validates each q
     arrays = [_as_measurements(m, cfg) for m in measurement_list]
-    out, _, _ = _filter(arrays, cfg, qs)
+    fused, _, _ = _filter(arrays, cfg, qs)
+    preds = fused.argmax(axis=-1)
     accuracies = {}
     best_ratio, best_acc = None, -1.0
-    for k, ratio in enumerate(ratios):
-        # contiguous, as filter_batch returns them, so each mean sums in the same order
-        preds = np.array([fuse_utterance(np.ascontiguousarray(out[: a.shape[0], k, i]))[0]
-                          for i, a in enumerate(arrays)])
-        acc = float(np.mean(preds == labels))
+    for ratio, pred in zip(ratios, preds):
+        acc = float(np.mean(pred == labels))
         accuracies[ratio] = acc
         if acc > best_acc:
             best_ratio, best_acc = ratio, acc

@@ -340,6 +340,19 @@ class TestTune:
         assert rc == 2
         assert "grid is empty" in capsys.readouterr().err
 
+    def test_zero_r_is_an_argument_error(self, cli_ws, tmp_path, capsys):
+        """q is tuned as ratio*r, so r = 0 leaves nothing to tune; say so, not q = r = 0."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kalman_r": 0.0}))
+        out = tmp_path / "t.json"
+        rc = main(["tune", str(cli_ws["manifest"]), "--features", str(cli_ws["features"]),
+                   "--checkpoint", str(cli_ws["ckpt"]), "--out", str(out),
+                   "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: tuning q as ratio*r needs kalman_r > 0, got kalman_r=0.0\n"
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def run_ws(cli_ws, tmp_path_factory):
@@ -410,6 +423,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "run" / "features").exists()
+
+    def test_zero_r_fails_before_extracting(self, cli_ws, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kalman_r": 0.0}))
+        rc = main(["run", str(cli_ws["manifest"]), "--out-dir", str(tmp_path / "run"),
+                   "--config", str(cfg), "--epochs", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: run tunes q as ratio*kalman_r, so it needs "
+                                "kalman_r > 0, got kalman_r=0.0\n")
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
 
 
 class TestLoggingEnv:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from kftser.evaluation import fuse_utterance, synth_noisy_trajectories
 from kftser.kalman import (
     DEFAULT_RATIO_GRID,
     KalmanConfig,
+    TuneResult,
     filter_batch,
     filter_trajectory,
     rts_smooth,
@@ -274,7 +276,7 @@ class TestZeroSumProjection:
         calls = self._count_fallbacks(monkeypatch)
         cfg = KalmanConfig(r=0.1)
         trajs, labels = [], []
-        for t_steps, seed in ((30, 1), (17, 2)):  # mixed lengths exercise the padding
+        for t_steps, seed in ((30, 1), (17, 2)):  # mixed lengths make the batch shrink
             z, y = synth_noisy_trajectories(8, t_steps, flip_prob=0.5, seed=seed)
             trajs += z
             labels += list(y)
@@ -288,6 +290,94 @@ class TestZeroSumProjection:
             want[ratio] = float(np.mean(preds == np.array(labels)))
         assert len(set(want.values())) > 1  # else a mixed-up candidate would go unseen
         assert res.accuracies == want
+
+    @pytest.mark.parametrize("renorm", [True, False])
+    @pytest.mark.parametrize("q, r", [(1e-3, 0.1), (0.0, 0.1)])
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_streamed_tune_matches_filter_batch_then_fuse(self, monkeypatch, rng, dim, q, r,
+                                                          renorm):
+        """The tune keeps no rows, only a running mean per (q, trajectory); its
+        decisions, and for dim >= 2 its mean rows, equal fuse_utterance's on
+        filter_batch's rows. A (T, 1) column is averaged pairwise by numpy, so
+        at dim 1 the mean rows may differ in the last bit; the argmax of a
+        1-wide vector is 0 either way, so there only TuneResult is compared."""
+        calls = self._count_fallbacks(monkeypatch)
+        cfg = KalmanConfig(dim=dim, q=q, r=r, renormalize=renorm)
+        ratios = [q / r, 1.0]
+        qs = [ratio * r for ratio in ratios]
+        trajs = []
+        for t in (17, 1, 60, 5, 5, 5, 2, 60, 33):  # mixed, equal and single-frame lengths
+            z = rng.uniform(-0.5, 1.5, size=(t, dim))
+            z[rng.uniform(size=t) < 0.2] = -100.0  # rows that clamp to zero
+            trajs.append(z)
+        labels = rng.integers(0, dim, size=len(trajs))
+        for batch in (trajs, trajs[2:3]):  # mixed lengths, then a single trajectory
+            calls.clear()
+            res = tune_qr_ratio(batch, labels[: len(batch)], cfg, ratios=ratios)
+            assert bool(calls) == renorm
+            fused, _, _ = kalman._filter(batch, cfg, qs)
+            want = {}
+            for ratio, q_k, fused_k in zip(ratios, qs, fused):
+                rows = filter_batch(batch, replace(cfg, q=q_k))
+                decisions = [fuse_utterance(m) for m in rows]
+                if dim >= 2:
+                    for got, (_, vector) in zip(fused_k, decisions):
+                        assert got.tobytes() == vector.tobytes()
+                preds = np.array([label for label, _ in decisions])
+                want[ratio] = float(np.mean(preds == labels[: len(batch)]))
+            best = max(ratios, key=lambda ratio: (want[ratio], -ratio))
+            assert res == TuneResult(best_ratio=best, best_q=best * r, accuracies=want)
+
+    def test_tune_holds_no_padded_output(self):
+        """40 trajectories of 44 to 453 frames through the 5-ratio grid: the old
+        (T_max, n_q, B, dim) array of every filtered row alone took 2,899,200 bytes."""
+        trajs, labels = [], []
+        for seed, t in enumerate((44, 88, 151, 302, 453)):
+            z, y = synth_noisy_trajectories(8, t, flip_prob=0.3, seed=seed)
+            trajs += z
+            labels += list(y)
+        order = np.random.default_rng(7).permutation(len(trajs))
+        trajs = [trajs[i] for i in order]
+        labels = [labels[i] for i in order]
+        tracemalloc.start()
+        try:
+            tune_qr_ratio(trajs, labels, KalmanConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 453 * 5 * 40 * 4 * 8
+
+
+class TestScheduleCache:
+    def test_repeat_calls_share_one_read_only_schedule(self, rng):
+        cfg = KalmanConfig()
+        z = rng.dirichlet(np.ones(4), size=30)
+        first = filter_trajectory(z, cfg)
+        want = first.predicted_var.copy(), first.filtered_var.copy()
+        first.predicted_var[:] = 7.0  # callers get copies of the cached schedule
+        first.filtered_var[:] = 7.0
+        cached = kalman._schedule(cfg.q, cfg.r, 30)
+        assert cached is kalman._schedule(cfg.q, cfg.r, 30)
+        for values in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 7.0
+        again = filter_trajectory(z, cfg)
+        assert again.predicted_var.tobytes() == want[0].tobytes()
+        assert again.filtered_var.tobytes() == want[1].tobytes()
+        assert again.filtered.tobytes() == first.filtered.tobytes()
+
+    def test_configs_differing_in_r_or_length_do_not_share(self, rng):
+        z = rng.dirichlet(np.ones(4), size=30)
+        base = filter_trajectory(z, KalmanConfig(q=1e-3, r=0.1))
+        other_r = filter_trajectory(z, KalmanConfig(q=1e-3, r=0.2))
+        assert not np.array_equal(base.predicted_var, other_r.predicted_var)
+        assert not np.array_equal(base.filtered, other_r.filtered)
+        short = filter_trajectory(z[:12], KalmanConfig(q=1e-3, r=0.1))
+        assert short.predicted_var.shape == short.filtered_var.shape == (12,)
+        # a schedule is a prefix of any longer one at the same (q, r)
+        assert short.predicted_var.tobytes() == base.predicted_var[:12].tobytes()
+        assert kalman._schedule(1e-3, 0.1, 12) is not kalman._schedule(1e-3, 0.1, 30)
+        assert kalman._schedule(1e-3, 0.1, 30) is not kalman._schedule(1e-3, 0.2, 30)
 
 
 class TestRtsSmoother:
