@@ -19,7 +19,8 @@ from . import pipeline
 from .config import PipelineConfig
 from .errors import KftserError
 from .evaluation import evaluate_pipeline
-from .kalman import DEFAULT_RATIO_GRID, filter_trajectory, write_trajectory_csv
+from .kalman import (DEFAULT_RATIO_GRID, check_tunable, filter_trajectory,
+                     write_trajectory_csv)
 from .manifest import (CLASS_NAMES, Manifest, build_manifest,
                        generate_synthetic_dataset, split_manifest)
 from .mlp import load_checkpoint, predict_frames, save_checkpoint, save_trace_csv
@@ -185,9 +186,7 @@ def cmd_run(args) -> int:
                          f"(train={len(manifest.train_indices)}, "
                          f"test={len(manifest.test_indices)})")
     kcfg = pipeline.kalman_config(cfg)
-    if kcfg.r == 0:
-        raise ValueError(f"run tunes q as ratio*kalman_r, so it needs kalman_r > 0, "
-                         f"got kalman_r={kcfg.r}")
+    check_tunable(kcfg)
     out_dir = Path(args.out_dir)
     features_dir = out_dir / "features"
     _extract(manifest, cfg, features_dir)

@@ -25,6 +25,12 @@ def fuse_utterance(smoothed: np.ndarray, rule: str = "mean"):
     Returns (class index, fused vector). mean averages rows, max takes the
     per-class maximum over time, final takes the last row. Argmax ties go
     to the lowest class index.
+
+    kalman.tune_qr_ratio applies the mean rule without keeping the rows: a
+    running row sum from 0.0, divided by T, then argmax (in kalman._filter).
+    A change to the mean rule must change that copy too;
+    test_kalman.py's test_streamed_tune_matches_filter_batch_then_fuse holds
+    the two equal.
     """
     smoothed = np.atleast_2d(np.asarray(smoothed, dtype=np.float64))
     if smoothed.size == 0:

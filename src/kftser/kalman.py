@@ -16,15 +16,15 @@ The gain never depends on the measurements, so one schedule serves every
 trajectory and class, and the filter acts as a tuned temporal low-pass over
 the classifier output. The Rauch-Tung-Striebel smoother (AIAA J., 1965)
 reduces the same way, to the scalar gain p_t / p_{t+1}^p. A q/r grid search
-rides on top; it filters every candidate q in the same pass. Schedules are
-cached per (q, r, length), so trajectories of one length share one.
+rides on top; it filters every candidate q in the same pass.
 
 The recursion has two loops with the same arithmetic in the same order. A
 batch, or several q at once (the tune grid), advances through numpy
 buffers, one time step per set of array calls. The batch is sorted by
 length, longest first, and shrinks as trajectories end, so no step is
 spent on padding. The tune keeps no filtered rows: each trajectory's mean
-row is summed as it goes and fused when its last row is written. A single
+row is summed as it goes and fused when its last row is written, by the
+same steps as evaluation.fuse_utterance's mean rule. A single
 trajectory at a single q with dim < 8 runs on Python floats, where numpy's
 per-call overhead would outweigh the arithmetic; the smoother always does.
 The selection depends only on the input's shape. test_kalman.py's
@@ -35,7 +35,6 @@ byte-equal on both sides of the width cut.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -103,14 +102,8 @@ def _as_measurements(m, cfg: KalmanConfig) -> np.ndarray:
     return z
 
 
-@functools.lru_cache(maxsize=64)
 def _schedule(q: float, r: float, t_max: int):
-    """Predicted variance, gain and filtered variance for steps 0..t_max-1.
-
-    Cached per (q, r, t_max): trajectories of one length share a schedule.
-    The three arrays are read-only, and callers copy before handing any out,
-    so no caller can change what a later one reads.
-    """
+    """Predicted variance, gain and filtered variance for steps 0..t_max-1."""
     p_pred, gain, p_filt = [], [], []
     p = 1.0
     for _ in range(t_max):
@@ -120,9 +113,7 @@ def _schedule(q: float, r: float, t_max: int):
         p_pred.append(pp)
         gain.append(k)
         p_filt.append(p)
-    sched = np.array([p_pred, gain, p_filt])
-    sched.flags.writeable = False
-    return sched[0], sched[1], sched[2]
+    return p_pred, gain, p_filt
 
 
 def _filter_floats(z: np.ndarray, gains: list[float], dim: int,
@@ -182,13 +173,15 @@ def _filter(arrays: list[np.ndarray], cfg: KalmanConfig, fuse_qs=None):
     lengths = [arrays[i].shape[0] for i in order]
     t_max, batch, dim, n_q = lengths[0], len(arrays), cfg.dim, len(qs)
     schedules = [_schedule(q, cfg.r, t_max) for q in qs]
-    p_pred, gains, p_filt = (np.stack(v) for v in zip(*schedules))
     if fuse_qs is None and batch == 1 and dim < 8:
         # numpy's last-axis add.reduce sums a row left to right only up to
         # width 7 (wider rows are summed in unrolled partial sums), so only
         # below that width can a float loop reproduce the row sums bit for bit
-        flat = _filter_floats(arrays[0], gains[0].tolist(), dim, cfg.renormalize)
-        return [np.fromiter(flat, np.float64, len(flat)).reshape(t_max, dim)], p_pred, p_filt
+        p_pred, gains, p_filt = schedules[0]
+        flat = _filter_floats(arrays[0], gains, dim, cfg.renormalize)
+        return ([np.fromiter(flat, np.float64, len(flat)).reshape(t_max, dim)],
+                np.array([p_pred]), np.array([p_filt]))
+    p_pred, gains, p_filt = (np.array(v) for v in zip(*schedules))
 
     gains = gains.T.reshape(t_max, n_q, 1, 1)
     x = np.full((n_q, batch, dim), 1.0 / dim)
@@ -330,6 +323,15 @@ class TuneResult:
 DEFAULT_RATIO_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 
+def check_tunable(cfg: KalmanConfig) -> None:
+    """Raise ValueError unless q can be tuned as ratio*r, which needs r > 0.
+
+    With r = 0 every ratio gives q = 0, and q = r = 0 is not a valid model.
+    """
+    if cfg.r == 0:
+        raise ValueError(f"tuning q as ratio*r needs kalman_r > 0, got kalman_r={cfg.r}")
+
+
 def tune_qr_ratio(measurement_list, labels, cfg: KalmanConfig,
                   ratios=DEFAULT_RATIO_GRID) -> TuneResult:
     """Grid-search q as ratio*r (r held fixed) by fused utterance accuracy.
@@ -347,8 +349,7 @@ def tune_qr_ratio(measurement_list, labels, cfg: KalmanConfig,
     ratios = sorted(float(x) for x in ratios)
     if not ratios:
         raise ValueError("ratio grid is empty")
-    if cfg.r == 0:
-        raise ValueError(f"tuning q as ratio*r needs kalman_r > 0, got kalman_r={cfg.r}")
+    check_tunable(cfg)
     qs = [replace(cfg, q=ratio * cfg.r).q for ratio in ratios]  # validates each q
     arrays = [_as_measurements(m, cfg) for m in measurement_list]
     fused, _, _ = _filter(arrays, cfg, qs)

@@ -431,8 +431,7 @@ class TestRun:
                    "--config", str(cfg), "--epochs", "1"])
         assert rc == 2
         captured = capsys.readouterr()
-        assert captured.err == ("error: run tunes q as ratio*kalman_r, so it needs "
-                                "kalman_r > 0, got kalman_r=0.0\n")
+        assert captured.err == "error: tuning q as ratio*r needs kalman_r > 0, got kalman_r=0.0\n"
         assert captured.out == ""
         assert not (tmp_path / "run").exists()
 

@@ -348,38 +348,6 @@ class TestZeroSumProjection:
         assert peak < 453 * 5 * 40 * 4 * 8
 
 
-class TestScheduleCache:
-    def test_repeat_calls_share_one_read_only_schedule(self, rng):
-        cfg = KalmanConfig()
-        z = rng.dirichlet(np.ones(4), size=30)
-        first = filter_trajectory(z, cfg)
-        want = first.predicted_var.copy(), first.filtered_var.copy()
-        first.predicted_var[:] = 7.0  # callers get copies of the cached schedule
-        first.filtered_var[:] = 7.0
-        cached = kalman._schedule(cfg.q, cfg.r, 30)
-        assert cached is kalman._schedule(cfg.q, cfg.r, 30)
-        for values in cached:
-            with pytest.raises(ValueError, match="read-only"):
-                values[0] = 7.0
-        again = filter_trajectory(z, cfg)
-        assert again.predicted_var.tobytes() == want[0].tobytes()
-        assert again.filtered_var.tobytes() == want[1].tobytes()
-        assert again.filtered.tobytes() == first.filtered.tobytes()
-
-    def test_configs_differing_in_r_or_length_do_not_share(self, rng):
-        z = rng.dirichlet(np.ones(4), size=30)
-        base = filter_trajectory(z, KalmanConfig(q=1e-3, r=0.1))
-        other_r = filter_trajectory(z, KalmanConfig(q=1e-3, r=0.2))
-        assert not np.array_equal(base.predicted_var, other_r.predicted_var)
-        assert not np.array_equal(base.filtered, other_r.filtered)
-        short = filter_trajectory(z[:12], KalmanConfig(q=1e-3, r=0.1))
-        assert short.predicted_var.shape == short.filtered_var.shape == (12,)
-        # a schedule is a prefix of any longer one at the same (q, r)
-        assert short.predicted_var.tobytes() == base.predicted_var[:12].tobytes()
-        assert kalman._schedule(1e-3, 0.1, 12) is not kalman._schedule(1e-3, 0.1, 30)
-        assert kalman._schedule(1e-3, 0.1, 30) is not kalman._schedule(1e-3, 0.2, 30)
-
-
 class TestRtsSmoother:
     def test_matches_naive_matrix_smoother(self, rng):
         for q, r in ((1e-3, 0.1), (0.05, 0.3), (0.0, 1.0), (0.2, 0.0)):
@@ -447,6 +415,8 @@ class TestTuning:
             tune_qr_ratio(trajs, labels[:-1], KalmanConfig())
         with pytest.raises(ValueError):
             tune_qr_ratio([], [], KalmanConfig())
+        with pytest.raises(ValueError, match=r"needs kalman_r > 0, got kalman_r=0.0"):
+            tune_qr_ratio(trajs, labels, KalmanConfig(r=0.0))
 
 
 class TestConfigAndCsv:
