@@ -19,8 +19,8 @@ from . import pipeline
 from .config import PipelineConfig
 from .errors import KftserError
 from .evaluation import evaluate_pipeline
-from .kalman import (DEFAULT_RATIO_GRID, check_tunable, filter_trajectory,
-                     write_trajectory_csv)
+from .kalman import (DEFAULT_RATIO_GRID, check_ratio_grid, check_tunable,
+                     filter_trajectory, write_trajectory_csv)
 from .manifest import (CLASS_NAMES, Manifest, build_manifest,
                        generate_synthetic_dataset, split_manifest)
 from .mlp import load_checkpoint, predict_frames, save_checkpoint, save_trace_csv
@@ -148,15 +148,15 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    ratios = DEFAULT_RATIO_GRID
+    if args.grid is not None:
+        ratios = check_ratio_grid(x for x in args.grid.split(",") if x.strip())
     cfg = _load_config(args)
+    kcfg = pipeline.kalman_config(cfg)
+    check_tunable(kcfg)
     manifest = Manifest.load(args.manifest)
     model = _checked_model(args.checkpoint)
-    if args.grid is None:
-        ratios = DEFAULT_RATIO_GRID
-    else:
-        ratios = [float(x) for x in args.grid.split(",") if x.strip()]
-    result = pipeline.tune_from_manifest(model, manifest, args.features,
-                                         pipeline.kalman_config(cfg), ratios=ratios)
+    result = pipeline.tune_from_manifest(model, manifest, args.features, kcfg, ratios=ratios)
     payload = {"best_ratio": result.best_ratio, "best_q": result.best_q,
                "accuracies": {str(k): v for k, v in result.accuracies.items()}}
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -141,8 +141,11 @@ def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Rational-ratio polyphase resampling with a Kaiser-windowed sinc.
 
-    64 taps per phase, Kaiser beta 8.6. Identity when the rates already
-    match. Output duration stays within one sample period of the input.
+    The kernel spans 64 periods of the lower of the two rates (Kaiser beta
+    8.6), so each output sample reads 64 * max(1, down / up) input samples
+    for the reduced ratio up/down: 64 when upsampling, about 140 for
+    48 kHz -> 22,050 Hz. Identity when the rates already match. Output
+    duration stays within one sample period of the input.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -166,6 +169,76 @@ def _resample_kernel(up: int, down: int) -> np.ndarray:
     kernel = firwin(2 * half + 1, 1.0 / max(up, down), window=("kaiser", 8.6))
     kernel.setflags(write=False)
     return kernel
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_gain(up: int, down: int) -> float:
+    """Largest L1 norm over the up phases of the kernel resample applies (scaled by
+    up): no output sample exceeds it times the largest |input| that sample reads."""
+    taps = np.abs(_resample_kernel(up, down)) * up
+    return max(float(taps[p::up].sum()) for p in range(up))
+
+
+def resample_trimmed(
+    clip: AudioClip,
+    target_rate: int,
+    threshold_db: float = 20.0,
+    cfg: FramingConfig | None = None,
+) -> AudioClip:
+    """Exactly trim_silence(resample(clip, target_rate), threshold_db, cfg), byte
+    for byte, resampling only the output frames the trim could keep.
+
+    Each output frame's RMS is at most B = _phase_gain times the largest
+    |input| its outputs read. The frame with the largest B is resampled first;
+    its RMS R0 is at most the loudest frame's, so a frame with B below
+    R0 * 10**(-threshold_db / 20) is neither kept nor the loudest. Only the
+    frames from the first to the last that reach that value are resampled,
+    and the unchanged trim_silence runs on them.
+    """
+    if threshold_db <= 0 or target_rate <= 0 or clip.sample_rate == target_rate:
+        return trim_silence(resample(clip, target_rate), threshold_db, cfg)
+    cfg = cfg or FramingConfig()
+    g = math.gcd(clip.sample_rate, target_rate)
+    up, down = target_rate // g, clip.sample_rate // g
+    half = len(_resample_kernel(up, down)) // 2
+    n_in = len(clip.samples)
+    n_out = -(-n_in * up // down)  # resample's output length, ceil(n_in * up / down)
+    starts = np.arange(0, n_out, cfg.hop_length)  # output span of each trim frame
+    ends = np.minimum(starts + cfg.frame_length, n_out)
+    # output m reads inputs n with |m * down - n * up| <= half
+    lo = np.maximum(0, -((half - starts * down) // up))
+    hi = np.minimum(n_in, ((ends - 1) * down + half) // up + 1)
+    # reduceat over (lo, hi) pairs: entry 2t is the max over inputs [lo_t, hi_t). Its
+    # indices must be < n_in, so frames that read the last input take it separately.
+    magnitude = np.abs(clip.samples)
+    last = hi == n_in
+    peaks = np.maximum.reduceat(magnitude, np.column_stack([lo, hi - last]).ravel())[::2]
+    peaks[last] = np.maximum(peaks[last], magnitude[-1])
+    bound = peaks * (_phase_gain(up, down) * (1.0 + 1e-9))  # slack for rounding
+    loudest = int(bound.argmax())
+    if not np.isfinite(bound[loudest]):
+        return trim_silence(resample(clip, target_rate), threshold_db, cfg)
+    frame = _resample_span(clip, target_rate, up, down, starts[loudest], ends[loudest])
+    r0 = frame_rms(padded_signal(AudioClip(frame, target_rate), cfg), cfg)[0]
+    reach = np.flatnonzero(bound >= r0 * 10.0 ** (-threshold_db / 20.0))
+    span = _resample_span(clip, target_rate, up, down, starts[reach[0]], ends[reach[-1]])
+    return trim_silence(AudioClip(span, target_rate), threshold_db, cfg)
+
+
+def _resample_span(clip: AudioClip, target_rate: int, up: int, down: int,
+                   first: int, end: int) -> np.ndarray:
+    """Outputs [first, end) of resample(clip, target_rate), byte for byte.
+
+    Resamples only an input slice that starts on a multiple of down, so its
+    output grid is the clip's shifted by a whole number of samples, and that
+    reaches half a kernel past both ends of the span, so every output in the
+    span reads the same inputs as in the full call.
+    """
+    half = len(_resample_kernel(up, down)) // 2
+    a = max(0, -((half - first * down) // up)) // down
+    stop = min(len(clip.samples), ((end - 1) * down + half) // up + 1)
+    out = resample(AudioClip(clip.samples[a * down : stop], clip.sample_rate), target_rate)
+    return out.samples[first - a * up : end - a * up]
 
 
 def trim_silence(

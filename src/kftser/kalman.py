@@ -332,6 +332,18 @@ def check_tunable(cfg: KalmanConfig) -> None:
         raise ValueError(f"tuning q as ratio*r needs kalman_r > 0, got kalman_r={cfg.r}")
 
 
+def check_ratio_grid(ratios) -> list[float]:
+    """The q/r ratio grid as sorted floats; ValueError unless it is non-empty
+    and every ratio is finite and >= 0."""
+    ratios = [float(x) for x in ratios]
+    if not ratios:
+        raise ValueError("ratio grid is empty")
+    for ratio in ratios:
+        if not (math.isfinite(ratio) and ratio >= 0):
+            raise ValueError(f"q/r ratio must be finite and >= 0, got {ratio}")
+    return sorted(ratios)
+
+
 def tune_qr_ratio(measurement_list, labels, cfg: KalmanConfig,
                   ratios=DEFAULT_RATIO_GRID) -> TuneResult:
     """Grid-search q as ratio*r (r held fixed) by fused utterance accuracy.
@@ -346,9 +358,7 @@ def tune_qr_ratio(measurement_list, labels, cfg: KalmanConfig,
         raise ValueError("one label per trajectory required")
     if len(measurement_list) == 0:
         raise ValueError("nothing to tune on")
-    ratios = sorted(float(x) for x in ratios)
-    if not ratios:
-        raise ValueError("ratio grid is empty")
+    ratios = check_ratio_grid(ratios)
     check_tunable(cfg)
     qs = [replace(cfg, q=ratio * cfg.r).q for ratio in ratios]  # validates each q
     arrays = [_as_measurements(m, cfg) for m in measurement_list]

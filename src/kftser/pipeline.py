@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .dsp import FramingConfig, decode_wav, resample, trim_silence
+from .dsp import FramingConfig, decode_wav, resample_trimmed
 from .errors import KftserError
 from .features import (FeatureMatrix, MelFilterbank, build_mel_filterbank,
                        extract_features, fit_scaler, load_features, save_features)
@@ -50,10 +50,8 @@ def kalman_config(cfg: PipelineConfig) -> KalmanConfig:
 def wav_to_features(path: str | Path, cfg: PipelineConfig,
                     utterance_id: str = "") -> FeatureMatrix:
     """Decode, standardize the rate, trim silence, and extract features."""
-    clip = decode_wav(path)
     fcfg = framing_config(cfg)
-    clip = resample(clip, cfg.sample_rate)
-    clip = trim_silence(clip, cfg.trim_threshold_db, fcfg)
+    clip = resample_trimmed(decode_wav(path), cfg.sample_rate, cfg.trim_threshold_db, fcfg)
     return extract_features(clip, fcfg, mel_filterbank(cfg), delta_width=cfg.delta_width,
                             log_floor=cfg.log_floor, utterance_id=utterance_id)
 

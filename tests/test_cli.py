@@ -333,12 +333,22 @@ class TestTune:
         _print_tune(TuneResult(best_ratio=0.01, best_q=0.001, accuracies={0.01: 0.75}))
         assert "note:" not in capsys.readouterr().out
 
-    def test_empty_grid_is_an_argument_error(self, cli_ws, tmp_path, capsys):
+    @pytest.mark.parametrize("grid, message", [
+        (",", "ratio grid is empty"),
+        ("0.01,-0.1", "q/r ratio must be finite and >= 0, got -0.1"),
+        ("nan", "q/r ratio must be finite and >= 0, got nan"),
+        ("0.1,inf", "q/r ratio must be finite and >= 0, got inf"),
+    ])
+    def test_bad_grid_is_an_argument_error_before_any_loading(self, cli_ws, tmp_path, capsys,
+                                                               grid, message):
+        """The grid is checked first: a missing checkpoint would otherwise exit 1."""
+        out = tmp_path / "t.json"
         rc = main(["tune", str(cli_ws["manifest"]), "--features", str(cli_ws["features"]),
-                   "--checkpoint", str(cli_ws["ckpt"]), "--grid", ",",
-                   "--out", str(tmp_path / "t.json")])
+                   "--checkpoint", str(tmp_path / "missing.ckpt"), f"--grid={grid}",
+                   "--out", str(out)])
         assert rc == 2
-        assert "grid is empty" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_zero_r_is_an_argument_error(self, cli_ws, tmp_path, capsys):
         """q is tuned as ratio*r, so r = 0 leaves nothing to tune; say so, not q = r = 0."""

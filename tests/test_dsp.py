@@ -18,6 +18,7 @@ from kftser.dsp import (
     frame_view,
     padded_signal,
     resample,
+    resample_trimmed,
     trim_silence,
     write_wav,
     _resample_kernel,
@@ -280,6 +281,93 @@ class TestTrimSilence:
         once = trim_silence(clip, threshold, cfg)
         twice = trim_silence(once, threshold, cfg)
         assert np.array_equal(once.samples, twice.samples)
+
+
+RATES = (8000, 11025, 16000, 22050, 44100, 48000, 96000)
+
+
+@st.composite
+def _clips(draw):
+    """Digital silence, optionally a stretch of noise or a tone anywhere in it
+    (abrupt or swelling), optionally a noise floor over all of it; from one
+    sample up to several frames long."""
+    n = draw(st.integers(min_value=1, max_value=12000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x = np.zeros(n)
+    if draw(st.booleans()):
+        a = draw(st.integers(min_value=0, max_value=n))
+        b = draw(st.integers(min_value=a, max_value=n))
+        if draw(st.booleans()):
+            x[a:b] = rng.normal(size=b - a)
+        else:
+            x[a:b] = np.sin(draw(st.floats(min_value=0.0, max_value=0.2)) * np.arange(b - a))
+        x[a:b] *= draw(st.floats(min_value=0.01, max_value=1.0))
+        if draw(st.booleans()):
+            x[a:b] *= np.hanning(b - a)
+    floor_db = draw(st.none() | st.floats(min_value=-70.0, max_value=-20.0))
+    if floor_db is not None:
+        x += 10.0 ** (floor_db / 20.0) * rng.normal(size=n)
+    return AudioClip(x, draw(st.sampled_from(RATES)))
+
+
+def _same_bytes(a, b):
+    return a.sample_rate == b.sample_rate and a.samples.tobytes() == b.samples.tobytes()
+
+
+class TestResampleTrimmed:
+    @given(clip=_clips(), target=st.sampled_from(RATES),
+           threshold=st.floats(min_value=0.5, max_value=40.0),
+           cfg=st.sampled_from([FramingConfig(), FramingConfig(400, 160), FramingConfig(7, 3)]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_trim_of_the_full_resample(self, clip, target, threshold, cfg):
+        want = trim_silence(resample(clip, target), threshold, cfg)
+        assert _same_bytes(resample_trimmed(clip, target, threshold, cfg), want)
+
+    @pytest.mark.parametrize("samples", [
+        np.zeros(1), np.zeros(3), np.full(3, 0.5), np.zeros(30000), np.zeros(1500),
+        np.r_[np.zeros(5000), np.full(2000, 0.01), np.zeros(20000), 1.0],  # loudest at the end
+    ])
+    @pytest.mark.parametrize("src, dst", [(48000, 22050), (44100, 22050), (8000, 22050)])
+    def test_silent_sub_frame_and_end_click_clips(self, samples, src, dst):
+        clip = AudioClip(samples, src)
+        assert _same_bytes(resample_trimmed(clip, dst), trim_silence(resample(clip, dst)))
+
+    def test_resamples_only_the_span_the_trim_can_keep(self, monkeypatch):
+        read = []
+
+        def counting(clip, target_rate):
+            read.append(len(clip.samples))
+            return resample(clip, target_rate)
+
+        rate = 48000
+        tone = 0.5 * np.sin(2 * np.pi * 220.0 * np.arange(rate) / rate)
+        clip = AudioClip(np.concatenate([np.zeros(rate), tone, np.zeros(2 * rate)]), rate)
+        monkeypatch.setattr("kftser.dsp.resample", counting)
+        got = resample_trimmed(clip, 22050)
+        monkeypatch.undo()
+        assert _same_bytes(got, trim_silence(resample(clip, 22050)))
+        assert len(read) == 2  # the loudest frame, then the span
+        assert sum(read) < 0.4 * len(clip.samples)  # the tone is a quarter of the clip
+
+    def test_matching_rate_only_trims(self):
+        clip = AudioClip(np.concatenate([np.zeros(9000), np.ones(3000), np.zeros(9000)]), 22050)
+        assert _same_bytes(resample_trimmed(clip, 22050), trim_silence(clip))
+
+    def test_non_finite_input_matches_the_full_path(self):
+        for bad in (np.nan, np.inf):
+            x = np.zeros(9600)
+            x[4000] = bad
+            clip = AudioClip(x, 48000)
+            assert _same_bytes(resample_trimmed(clip, 22050),
+                               trim_silence(resample(clip, 22050)))
+
+    def test_rejects_what_resample_and_trim_reject(self):
+        clip = AudioClip(np.ones(100), 48000)
+        with pytest.raises(ValueError, match="target_rate"):
+            resample_trimmed(clip, 0)
+        for bad in (0.0, -3.0):
+            with pytest.raises(ValueError, match="threshold_db"):
+                resample_trimmed(clip, 22050, bad)
 
 
 def _naive_frames(x, frame, hop):

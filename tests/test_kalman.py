@@ -417,6 +417,9 @@ class TestTuning:
             tune_qr_ratio([], [], KalmanConfig())
         with pytest.raises(ValueError, match=r"needs kalman_r > 0, got kalman_r=0.0"):
             tune_qr_ratio(trajs, labels, KalmanConfig(r=0.0))
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"q/r ratio must be finite and >= 0, got {bad}"):
+                tune_qr_ratio(trajs, labels, KalmanConfig(), ratios=(0.01, bad))
 
 
 class TestConfigAndCsv:

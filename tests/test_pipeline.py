@@ -146,3 +146,28 @@ def test_feature_files_match_golden_bytes(tmp_path):
         "67a4c3a2f0278800dc2719a41369cf6e74618030ba11e25e45bf0d5d7990017d",
         "cc539b7900e232eb225edc5d30ee3063c61b9b2181ab62e39120709d40f1b4ff",
     ]
+
+
+def _lead_and_tail_clip(rate, seed):
+    """0.5 s of digital silence, 1.5 s of a swelling tone over a little noise,
+    then 0.5 s of noise at -50 dB full scale."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(3 * rate // 2) / rate
+    voiced = (0.5 * np.sin(2 * np.pi * 220.0 * t) * np.hanning(len(t))
+              + 0.01 * rng.normal(size=len(t)))
+    tail = 10.0 ** (-50.0 / 20.0) * rng.normal(size=rate // 2)
+    return np.concatenate([np.zeros(rate // 2), voiced, tail])
+
+
+@pytest.mark.parametrize("rate, seed, want", [
+    (48000, 11, "4a56afd25a272033412ff057e51fd6a0de893ba6378b02ea31a0bb3cbd511498"),
+    (44100, 12, "2a355c276025757f180f37433ddf5bf816b69c2833b3a39ca5eb4b8ea95df168"),
+])
+def test_trimmed_real_rate_features_match_golden_bytes(tmp_path, rate, seed, want):
+    """.feat bytes of a clip whose silent lead and quiet tail the trim drops; the
+    hashes were taken when wav_to_features still resampled the whole clip."""
+    write_wav(tmp_path / "clip.wav", _lead_and_tail_clip(rate, seed), rate)
+    fm = wav_to_features(tmp_path / "clip.wav", PipelineConfig())
+    assert fm.n_frames == 55  # of 108 frames in the resampled clip
+    save_features(fm, tmp_path / "clip.feat")
+    assert hashlib.sha256((tmp_path / "clip.feat").read_bytes()).hexdigest() == want
