@@ -27,7 +27,11 @@ row is summed as it goes and fused when its last row is written, by the
 same steps as evaluation.fuse_utterance's mean rule. A single
 trajectory at a single q with dim < 8 runs on Python floats, where numpy's
 per-call overhead would outweigh the arithmetic; the smoother always does.
-The selection depends only on the input's shape. test_kalman.py's
+Those float loops are generated once per row width by _row_loops, which
+unrolls each step over the row's elements, so a step runs no inner loop and
+builds no list; they do the numpy loop's operations in its order. The first
+use of a width pays about 1 ms to generate them. The selection depends only
+on the input's shape. test_kalman.py's
 TestFilterBatch::test_matches_per_trajectory_filtering holds the two loops
 byte-equal on both sides of the width cut.
 """
@@ -35,6 +39,7 @@ byte-equal on both sides of the width cut.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -116,33 +121,79 @@ def _schedule(q: float, r: float, t_max: int):
     return p_pred, gain, p_filt
 
 
+_ROW_LOOPS = """\
+def filter_rows(rows, gains, renormalize, uniform):
+    {chain} = uniform
+    flat = []
+    if renormalize:
+        for ({b}), k in zip(rows, gains):
+            v{i} = a{i} + k * (b{i} - a{i})
+            v{i} = 1.0 if v{i} > 1.0 else v{i} if v{i} > 0.0 else 0.0
+            s = 0.0 + {v_sum}
+            if s:
+                a{i} = v{i} / s
+            else:
+                {chain} = uniform
+            flat += ({a})
+    else:
+        for ({b}), k in zip(rows, gains):
+            a{i} = a{i} + k * (b{i} - a{i})
+            flat += ({a})
+    return flat
+
+
+def smooth_rows(rows, gains):
+    {n} = rows[-1]
+    flat = [{n}]
+    for ({a}), g in zip(rows[-2::-1], gains[::-1]):
+        n{i} = a{i} + g * (n{i} - a{i})
+        flat += ({n})
+    return flat
+"""
+
+
+@functools.lru_cache(maxsize=8)
+def _row_loops(dim: int):
+    """The float loops of the filter and the smoother for rows of width dim.
+
+    _ROW_LOOPS is written for one element: each run of lines that names {i}
+    is repeated for i = 0..dim-1, so a step holds the row in dim locals, takes
+    each input row apart by tuple unpacking and runs no inner loop. Only
+    names built from range(dim) enter the source. Built once per width, in
+    about 1 ms, and shared.
+    """
+    idx = range(dim)
+    whole_row = {"chain": " = ".join(f"a{i}" for i in idx),
+                 "v_sum": " + ".join(f"v{i}" for i in idx),
+                 **{p: ", ".join(f"{p}{i}" for i in idx) + "," for p in "abn"}}
+    lines = []
+    for per_element, run in itertools.groupby(_ROW_LOOPS.splitlines(),
+                                              lambda line: "{i}" in line):
+        run = list(run)
+        if per_element:
+            lines += (line.format(i=i) for i in idx for line in run)
+        else:
+            lines += (line.format(**whole_row) for line in run)
+    namespace = {}
+    exec(compile("\n".join(lines), f"<kftser.kalman rows, dim={dim}>", "exec"), namespace)
+    return namespace["filter_rows"], namespace["smooth_rows"]
+
+
 def _filter_floats(z: np.ndarray, gains: list[float], dim: int,
                    renormalize: bool) -> list[float]:
     """_filter's numpy loop for one trajectory at one q, on Python floats.
 
     Every operation is the one the numpy loop does, in its order: x + k*(z - x),
     clamp to [0, 1], a left-to-right row sum, divide; a row whose clamped sum
-    is 0 becomes the uniform row. One frame thus costs one short Python
-    loop instead of about ten numpy calls on (1, 1, dim) arrays.
-    The sum is an explicit loop: the built-in sum() is compensated from
-    Python 3.12 on and would change the bits. Returns the rows back to back
-    in one flat list, which numpy converts far faster than a list of rows.
+    is 0 becomes the uniform row. The loop is _row_loops' filter loop,
+    generated once per row width (about 1 ms on first use), so one frame
+    costs a few float operations per element instead of about ten numpy calls
+    on (1, 1, dim) arrays. The sum is written out as 0.0 + v0 + v1 + ...: the
+    built-in sum() is compensated from Python 3.12 on and would change the
+    bits. Returns the rows back to back in one flat list, which numpy converts
+    far faster than a list of rows.
     """
-    uniform = [1.0 / dim] * dim
-    x, flat = uniform, []
-    for zt, k in zip(z.tolist(), gains):
-        if not renormalize:
-            x = [a + k * (b - a) for a, b in zip(x, zt)]
-        else:
-            clamped, s = [], 0.0
-            for a, b in zip(x, zt):
-                v = a + k * (b - a)
-                v = 1.0 if v > 1.0 else v if v > 0.0 else 0.0
-                s += v
-                clamped.append(v)
-            x = [v / s for v in clamped] if s else uniform
-        flat += x
-    return flat
+    return _row_loops(dim)[0](z.tolist(), gains, renormalize, 1.0 / dim)
 
 
 def _filter(arrays: list[np.ndarray], cfg: KalmanConfig, fuse_qs=None):
@@ -283,20 +334,28 @@ def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
 
     Under F = I the predicted mean at t+1 is the filtered mean at t, and the
     smoother gain is the scalar filtered_var[t] / predicted_var[t+1]. The
-    final smoothed step equals the final filtered step exactly. The pass runs
-    on Python floats, a + g*(b - a) per element, which gives the bits of the
-    same update as a numpy row loop at a fraction of its per-call cost.
-    The rows are collected last first in one flat list and put back in time
-    order by one copy.
+    final smoothed step equals the final filtered step exactly. The pass is
+    _row_loops' smoother loop, generated once per row width (about 1 ms on
+    first use): n = a + g*(n - a) per element on Python floats, from the last
+    row backwards, the operations of a numpy row loop in its order and so its
+    bits, at a fraction of its per-call cost. The rows are collected last
+    first in one flat list and put back in time order by one copy.
+
+    Raises ValueError unless filtered is (T, cfg.dim) with T >= 1, raw has
+    filtered's shape and both variances are (T,).
     """
-    filtered = st.filtered.tolist()
+    shape = st.filtered.shape
+    if len(shape) != 2 or shape[0] < 1 or shape[1] != cfg.dim:
+        raise ValueError(f"filtered must be T x {cfg.dim} with T >= 1, got {shape}")
+    if st.raw.shape != shape:
+        raise ValueError(f"raw must have filtered's shape {shape}, got {st.raw.shape}")
+    for name in ("predicted_var", "filtered_var"):
+        if getattr(st, name).shape != shape[:1]:
+            raise ValueError(f"{name} must have shape {shape[:1]}, "
+                             f"got {getattr(st, name).shape}")
     gain = (st.filtered_var[:-1] / st.predicted_var[1:]).tolist()
-    nxt = filtered[-1]
-    flat = list(nxt)
-    for f, g in zip(filtered[-2::-1], gain[::-1]):
-        nxt = [a + g * (b - a) for a, b in zip(f, nxt)]
-        flat += nxt
-    means = np.fromiter(flat, np.float64, len(flat)).reshape(len(filtered), -1)
+    flat = _row_loops(cfg.dim)[1](st.filtered.tolist(), gain)
+    means = np.fromiter(flat, np.float64, len(flat)).reshape(shape)
     return means[::-1].copy()
 
 

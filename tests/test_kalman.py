@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -200,7 +201,7 @@ class TestFilterBatch:
         numpy row loop."""
         cfg = KalmanConfig(dim=dim, q=q, r=r, renormalize=renorm)
         trajs = [rng.dirichlet(np.ones(dim), size=7)]
-        for t in (1, 2, 17, 60, int(rng.integers(1, 61))):
+        for t in (1, 2, 17, 60, 453, int(rng.integers(1, 61))):
             z = rng.uniform(-0.5, 1.5, size=(t, dim))
             pick = rng.uniform(size=z.shape)
             z[pick < 0.15] = 0.0
@@ -385,6 +386,25 @@ class TestRtsSmoother:
             tv["smoothed"] += np.abs(np.diff(smoothed, axis=0)).sum()
         assert tv["smoothed"] < tv["filtered"] < tv["raw"]
 
+    @pytest.mark.parametrize("cut, match", [
+        (dict(predicted_var=slice(5), filtered_var=slice(5)), "predicted_var must have shape"),
+        (dict(filtered_var=slice(5)), "filtered_var must have shape"),
+        (dict(filtered=(slice(None), slice(3)), raw=(slice(None), slice(3))),
+         r"filtered must be T x 4 with T >= 1, got \(10, 3\)"),
+        (dict(raw=slice(5)), "raw must have filtered's shape"),
+        (dict(filtered=slice(0), raw=slice(0), predicted_var=slice(0), filtered_var=slice(0)),
+         r"filtered must be T x 4 with T >= 1, got \(0, 4\)"),
+    ], ids=["variances-5-of-10", "filtered_var-5-of-10", "3-wide-under-dim-4",
+            "raw-5-of-10", "empty"])
+    def test_inconsistent_trajectory_rejected(self, rng, cut, match):
+        """A trajectory whose arrays disagree with each other or with cfg.dim
+        is an error, not a smoothed result of the wrong shape."""
+        cfg = KalmanConfig(dim=4)
+        st = filter_trajectory(rng.dirichlet(np.ones(4), size=10), cfg)
+        bad = replace(st, **{name: getattr(st, name)[index] for name, index in cut.items()})
+        with pytest.raises(ValueError, match=match):
+            rts_smooth(bad, cfg)
+
 
 class TestTuning:
     def test_singleton_grid(self, rng):
@@ -458,3 +478,37 @@ class TestConfigAndCsv:
         assert lines[1].split(",")[0] == "0"
         with pytest.raises(ValueError):
             write_trajectory_csv(traj, path, ("a", "b"))
+
+
+PER_TRAJECTORY_GOLDEN = [
+    (44, True,
+     ["10a9370bf745354e3d9891fb654df2d0062664d9b89f83bc003b12cb975a1c1f",
+      "c7a22dbb6113c1c377cc5a15b3e0b7dcaa8b367e83c88e379d3fece7e8edda56",
+      "340f076f7a1b8676bf0ba83fd26ed862749a93bb31fa17e1be567134c01b415c"]),
+    (44, False,
+     ["0b919613df067006e4f7af582fef3c087e24d59c977760fba65dba9b4093de7b",
+      "5a6d4ddab9d68d556b1712b4fa72d15a1e3c6761a994eac1aa835c7f5f4e75ca",
+      "edf42d35eff36b665f2345d785b114e324a0cb008fe3ebd2561513d971396b90"]),
+    (453, True,
+     ["4bec609dee8bf00917b31ca222177ac8476643ad9df2440329abd58c8ed9d6ff",
+      "dddfc686e10985cf615a51c40b5bad2c2f5dd975a93a75a1c9d2f0d202b36717",
+      "e240805c243e4d9f851c30a8c5d4d916f28779b205b316a3b683661ce339c397"]),
+    (453, False,
+     ["bd465017cba35161c2b8b53328b98733cbabc692b796721ff99783d3ab967d07",
+      "086202fdaa1347694467172c53ef9e7dd7bcff4657f34ebfb4e792edf0507b8a",
+      "b0c3be7309881de50958121307a6cefb1104d91f97e0bf76eca856c887defe8e"]),
+]
+
+
+@pytest.mark.parametrize("t_steps, renorm, want", PER_TRAJECTORY_GOLDEN)
+def test_per_trajectory_outputs_match_golden_bytes(tmp_path, t_steps, renorm, want):
+    """filter_trajectory's means, rts_smooth's means and the trajectory CSV
+    are pinned, not only compared with another code path."""
+    (z,), _ = synth_noisy_trajectories(1, t_steps, flip_prob=0.3, seed=t_steps)
+    cfg = KalmanConfig(dim=4, renormalize=renorm)
+    st = filter_trajectory(z, cfg)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(st, path, CLASS_NAMES)
+    got = [hashlib.sha256(b).hexdigest()
+           for b in (st.filtered.tobytes(), rts_smooth(st, cfg).tobytes(), path.read_bytes())]
+    assert got == want
