@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,6 +58,16 @@ class PipelineConfig:
             )
         if self.fusion not in FUSION_RULES:
             raise ConfigError(f"fusion must be one of {FUSION_RULES}, got {self.fusion!r}")
+        for name, ok, need in (
+            ("sample_rate", self.sample_rate > 0, "> 0"),
+            ("n_mels", self.n_mels >= 1, ">= 1"),
+            ("delta_width", self.delta_width >= 3 and self.delta_width % 2 == 1, "odd and >= 3"),
+            ("trim_threshold_db", math.isfinite(self.trim_threshold_db)
+             and self.trim_threshold_db > 0, "finite and > 0"),
+            ("log_floor", math.isfinite(self.log_floor) and self.log_floor > 0, "finite and > 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
         from . import pipeline  # imports this module, so not at the top
 
         try:

@@ -195,7 +195,8 @@ def resample_trimmed(
     frames from the first to the last that reach that value are resampled,
     and the unchanged trim_silence runs on them.
     """
-    if threshold_db <= 0 or target_rate <= 0 or clip.sample_rate == target_rate:
+    _check_threshold(threshold_db)
+    if target_rate <= 0 or clip.sample_rate == target_rate:
         return trim_silence(resample(clip, target_rate), threshold_db, cfg)
     cfg = cfg or FramingConfig()
     g = math.gcd(clip.sample_rate, target_rate)
@@ -249,10 +250,10 @@ def trim_silence(
     """Drop leading/trailing frames more than threshold_db below the loudest frame.
 
     Interior samples are untouched and the result is never empty: if no
-    frame clears the threshold the loudest frame's span is kept.
+    frame clears the threshold the loudest frame's span is kept. Raises
+    ValueError unless threshold_db is finite and > 0.
     """
-    if threshold_db <= 0:
-        raise ValueError(f"threshold_db must be positive, got {threshold_db}")
+    _check_threshold(threshold_db)
     cfg = cfg or FramingConfig()
     rms = frame_rms(padded_signal(clip, cfg), cfg)
     keep = rms >= rms.max() * 10.0 ** (-threshold_db / 20.0)
@@ -264,6 +265,12 @@ def trim_silence(
     start = first * cfg.hop_length
     end = min(len(clip.samples), last * cfg.hop_length + cfg.frame_length)
     return AudioClip(clip.samples[start:end], clip.sample_rate)
+
+
+def _check_threshold(threshold_db: float) -> None:
+    # NaN compares false both ways, so "<= 0" alone would let it through
+    if not (math.isfinite(threshold_db) and threshold_db > 0):
+        raise ValueError(f"threshold_db must be finite and > 0, got {threshold_db}")
 
 
 def padded_signal(clip: AudioClip, cfg: FramingConfig) -> np.ndarray:

@@ -19,19 +19,21 @@ reduces the same way, to the scalar gain p_t / p_{t+1}^p. A q/r grid search
 rides on top; it filters every candidate q in the same pass.
 
 The recursion has two loops with the same arithmetic in the same order. A
-batch, or several q at once (the tune grid), advances through numpy
-buffers, one time step per set of array calls. The batch is sorted by
-length, longest first, and shrinks as trajectories end, so no step is
-spent on padding. The tune keeps no filtered rows: each trajectory's mean
-row is summed as it goes and fused when its last row is written, by the
-same steps as evaluation.fuse_utterance's mean rule. A single
-trajectory at a single q with dim < 8 runs on Python floats, where numpy's
-per-call overhead would outweigh the arithmetic; the smoother always does.
-Those float loops are generated once per row width by _row_loops, which
-unrolls each step over the row's elements, so a step runs no inner loop and
-builds no list; they do the numpy loop's operations in its order. The first
-use of a width pays about 1 ms to generate them. The selection depends only
-on the input's shape. test_kalman.py's
+batch, or several q at once (the tune grid), advances on numpy arrays, one
+time step per set of array calls. The batch is sorted by length, longest
+first, and shrinks as trajectories end, so no step is spent on padding;
+each stretch between two lengths works on contiguous copies of the
+still-active state, which keep every call on numpy's contiguous fast path.
+The tune keeps no filtered rows: each trajectory's mean row is summed as
+it goes and fused when its last row is written, by the same steps as
+evaluation.fuse_utterance's mean rule. A single trajectory at a single q
+with dim < 8 runs on Python floats, where numpy's per-call overhead would
+outweigh the arithmetic; the smoother always does. Those float loops are
+generated once per row width by _row_loops, which unrolls each step over
+the row's elements, so a step runs no inner loop and builds no list; they
+read and write the rows as flat lists and do the numpy loop's operations
+in its order. The first use of a width pays about 1 ms to generate them.
+The selection depends only on the input's shape. test_kalman.py's
 TestFilterBatch::test_matches_per_trajectory_filtering holds the two loops
 byte-equal on both sides of the width cut.
 """
@@ -122,11 +124,12 @@ def _schedule(q: float, r: float, t_max: int):
 
 
 _ROW_LOOPS = """\
-def filter_rows(rows, gains, renormalize, uniform):
+def filter_rows(values, gains, renormalize, uniform):
     {chain} = uniform
+    it = iter(values)
     flat = []
     if renormalize:
-        for ({b}), k in zip(rows, gains):
+        for k, {b} in zip(gains, {its}):
             v{i} = a{i} + k * (b{i} - a{i})
             v{i} = 1.0 if v{i} > 1.0 else v{i} if v{i} > 0.0 else 0.0
             s = 0.0 + {v_sum}
@@ -136,16 +139,17 @@ def filter_rows(rows, gains, renormalize, uniform):
                 {chain} = uniform
             flat += ({a})
     else:
-        for ({b}), k in zip(rows, gains):
+        for k, {b} in zip(gains, {its}):
             a{i} = a{i} + k * (b{i} - a{i})
             flat += ({a})
     return flat
 
 
-def smooth_rows(rows, gains):
-    {n} = rows[-1]
+def smooth_rows(values, gains):
+    it = iter(values)
+    {n} = {nexts}
     flat = [{n}]
-    for ({a}), g in zip(rows[-2::-1], gains[::-1]):
+    for g, {a} in zip(gains, {its}):
         n{i} = a{i} + g * (n{i} - a{i})
         flat += ({n})
     return flat
@@ -157,14 +161,16 @@ def _row_loops(dim: int):
     """The float loops of the filter and the smoother for rows of width dim.
 
     _ROW_LOOPS is written for one element: each run of lines that names {i}
-    is repeated for i = 0..dim-1, so a step holds the row in dim locals, takes
-    each input row apart by tuple unpacking and runs no inner loop. Only
-    names built from range(dim) enter the source. Built once per width, in
-    about 1 ms, and shared.
+    is repeated for i = 0..dim-1, so a step holds the row in dim locals, reads
+    the input row as dim items of one iterator over the flat input values and
+    runs no inner loop. Only names built from range(dim) enter the source.
+    Built once per width, in about 1 ms, and shared.
     """
     idx = range(dim)
     whole_row = {"chain": " = ".join(f"a{i}" for i in idx),
                  "v_sum": " + ".join(f"v{i}" for i in idx),
+                 "its": ", ".join("it" for _ in idx),
+                 "nexts": "next(it), " * dim,
                  **{p: ", ".join(f"{p}{i}" for i in idx) + "," for p in "abn"}}
     lines = []
     for per_element, run in itertools.groupby(_ROW_LOOPS.splitlines(),
@@ -190,10 +196,10 @@ def _filter_floats(z: np.ndarray, gains: list[float], dim: int,
     costs a few float operations per element instead of about ten numpy calls
     on (1, 1, dim) arrays. The sum is written out as 0.0 + v0 + v1 + ...: the
     built-in sum() is compensated from Python 3.12 on and would change the
-    bits. Returns the rows back to back in one flat list, which numpy converts
-    far faster than a list of rows.
+    bits. Takes the rows as one flat list and returns them the same way: numpy
+    converts a flat list both ways far faster than a list of rows.
     """
-    return _row_loops(dim)[0](z.tolist(), gains, renormalize, 1.0 / dim)
+    return _row_loops(dim)[0](z.ravel().tolist(), gains, renormalize, 1.0 / dim)
 
 
 def _filter(arrays: list[np.ndarray], cfg: KalmanConfig, fuse_qs=None):
@@ -201,21 +207,23 @@ def _filter(arrays: list[np.ndarray], cfg: KalmanConfig, fuse_qs=None):
 
     Trajectories are sorted longest first (stably). Between two consecutive
     distinct lengths the same trajectories are active, the first n of the
-    order, so each such stretch advances one (n_q, n, dim) prefix of the
-    state through preallocated buffers, one time step per set of array calls,
-    and the batch shrinks as trajectories end: no step computes a padded slot.
-    Each q gets its own scalar schedule and its own (n, dim) slice of the
-    state; the measurements broadcast across the q axis.
+    order. Each such stretch starts from contiguous (n_q, n, dim) copies of
+    their state and running sums, with scratch of that shape, and advances
+    them one time step per set of array calls; on a strided prefix view of
+    the whole batch each call would leave numpy's contiguous fast path. The
+    batch shrinks as trajectories end: no step computes a padded slot. Each
+    q gets its own scalar schedule and its own (n, dim) slice of the state;
+    the measurements broadcast across the q axis.
 
     Without fuse_qs the batch runs at cfg.q and the first return value is
     each trajectory's (T, dim) filtered means, in input order; one
     trajectory with dim < 8 runs the same steps in _filter_floats instead.
     With fuse_qs (the tune grid) no row is kept: each (q, trajectory) keeps
     a running sum of its rows, and when its last row is written the sum
-    divided by its length becomes its mean row. The sum adds row after row
-    to 0.0, as numpy's mean over axis 0 of a C-contiguous (T, dim) array
-    does for dim >= 2; the first return value is then the (n_q, B, dim)
-    mean rows, in input order.
+    divided by its length becomes its mean row, fused from the stretch's own
+    sums as the stretch ends. The sum adds row after row to 0.0, as numpy's
+    mean over axis 0 of a C-contiguous (T, dim) array does for dim >= 2; the
+    first return value is then the (n_q, B, dim) mean rows, in input order.
 
     Also returns the predicted and filtered variances, (n_q, T_max) each.
     """
@@ -231,14 +239,12 @@ def _filter(arrays: list[np.ndarray], cfg: KalmanConfig, fuse_qs=None):
         p_pred, gains, p_filt = schedules[0]
         flat = _filter_floats(arrays[0], gains, dim, cfg.renormalize)
         return ([np.fromiter(flat, np.float64, len(flat)).reshape(t_max, dim)],
-                np.array([p_pred]), np.array([p_filt]))
+                np.fromiter(p_pred, np.float64, t_max)[None],
+                np.fromiter(p_filt, np.float64, t_max)[None])
     p_pred, gains, p_filt = (np.array(v) for v in zip(*schedules))
 
     gains = gains.T.reshape(t_max, n_q, 1, 1)
     x = np.full((n_q, batch, dim), 1.0 / dim)
-    step = np.empty_like(x)
-    clipped = np.empty_like(x)
-    sums = np.empty((n_q, batch, 1))
     if fuse_qs is None:
         out = np.empty((t_max, n_q, batch, dim))
     else:
@@ -246,35 +252,37 @@ def _filter(arrays: list[np.ndarray], cfg: KalmanConfig, fuse_qs=None):
         fused = np.empty_like(x)
     active, t_start = batch, 0
     for t_end in sorted(set(lengths)):
-        # views onto the still-active prefix, bound once per stretch
+        # contiguous copies of the still-active state and sums, and scratch
+        # of their shape, so no call in the stretch works on a strided view
         zs = np.stack([arrays[i][t_start:t_end] for i in order[:active]], axis=1)
-        x, step_n, clipped_n, sums_n = (a[:, :active] for a in (x, step, clipped, sums))
+        x = np.ascontiguousarray(x[:, :active])
+        step, clipped = np.empty_like(x), np.empty_like(x)
+        sums = np.empty((n_q, active, 1))
         if fuse_qs is None:
-            rows = out[t_start:t_end, :, :active]
+            rows = out[t_start:t_end, :, :active]  # contiguous rows, as n_q == 1
         else:
-            total_n = total[:, :active]
+            total = np.ascontiguousarray(total[:, :active])
             rows = itertools.repeat(x)  # the state is updated in place
         for zt, row, g in zip(zs, rows, gains[t_start:t_end]):
-            np.subtract(zt, x, out=step_n)
-            np.multiply(step_n, g, out=step_n)
-            np.add(x, step_n, out=row)
+            np.subtract(zt, x, out=step)
+            np.multiply(step, g, out=step)
+            np.add(x, step, out=row)
             if cfg.renormalize:
                 # _renorm_rows' projection in place; the function itself runs
                 # only when some row clamps to all zeros
-                np.maximum(row, 0.0, out=clipped_n)
-                np.minimum(clipped_n, 1.0, out=clipped_n)
-                np.add.reduce(clipped_n, axis=-1, keepdims=True, out=sums_n)
-                if sums_n.all():
-                    np.divide(clipped_n, sums_n, out=row)
+                np.maximum(row, 0.0, out=clipped)
+                np.minimum(clipped, 1.0, out=clipped)
+                np.add.reduce(clipped, axis=-1, keepdims=True, out=sums)
+                if sums.all():
+                    np.divide(clipped, sums, out=row)
                 else:
                     row[...] = _renorm_rows(row, dim)
             x = row
             if fuse_qs is not None:
-                np.add(total_n, row, out=total_n)
+                np.add(total, row, out=total)
         ending = lengths.count(t_end)
         if fuse_qs is not None:
-            done = slice(active - ending, active)
-            np.divide(total[:, done], t_end, out=fused[:, done])
+            np.divide(total[:, active - ending:], t_end, out=fused[:, active - ending:active])
         active -= ending
         t_start = t_end
 
@@ -338,8 +346,8 @@ def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
     _row_loops' smoother loop, generated once per row width (about 1 ms on
     first use): n = a + g*(n - a) per element on Python floats, from the last
     row backwards, the operations of a numpy row loop in its order and so its
-    bits, at a fraction of its per-call cost. The rows are collected last
-    first in one flat list and put back in time order by one copy.
+    bits, at a fraction of its per-call cost. The rows go in and come out last
+    first, each as one flat list, and one copy puts them back in time order.
 
     Raises ValueError unless filtered is (T, cfg.dim) with T >= 1, raw has
     filtered's shape and both variances are (T,).
@@ -353,8 +361,8 @@ def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
         if getattr(st, name).shape != shape[:1]:
             raise ValueError(f"{name} must have shape {shape[:1]}, "
                              f"got {getattr(st, name).shape}")
-    gain = (st.filtered_var[:-1] / st.predicted_var[1:]).tolist()
-    flat = _row_loops(cfg.dim)[1](st.filtered.tolist(), gain)
+    gain = (st.filtered_var[-2::-1] / st.predicted_var[:0:-1]).tolist()
+    flat = _row_loops(cfg.dim)[1](st.filtered[::-1].ravel().tolist(), gain)
     means = np.fromiter(flat, np.float64, len(flat)).reshape(shape)
     return means[::-1].copy()
 

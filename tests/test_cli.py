@@ -421,6 +421,24 @@ class TestRun:
         assert ((out_dir / "trajectory_000.csv").read_bytes()
                 == (tmp_path / "t.csv").read_bytes())
 
+    @pytest.mark.parametrize("raw, message", [
+        ('{"trim_threshold_db": NaN}', "trim_threshold_db must be finite and > 0, got nan"),
+        ('{"learning_rate": Infinity}', "learning_rate must be finite and > 0, got inf"),
+        ('{"epsilon": -1.0}', "epsilon must be finite and > 0, got -1.0"),
+    ], ids=["nan-threshold", "inf-learning-rate", "negative-epsilon"])
+    def test_bad_config_fails_before_writing(self, cli_ws, tmp_path, capsys, raw, message):
+        """JSON's NaN and Infinity literals and out-of-range values stop `run`
+        at load, as a usage error naming the key, before --out-dir exists."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(raw)
+        rc = main(["run", str(cli_ws["manifest"]), "--out-dir", str(tmp_path / "run"),
+                   "--config", str(cfg), "--epochs", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("split", ["train_indices", "test_indices"])
     def test_unsplit_manifest_fails_before_extracting(self, cli_ws, tmp_path, capsys,
                                                       split):

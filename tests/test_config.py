@@ -76,6 +76,19 @@ def test_overrides_beat_file_values_and_none_is_ignored():
     ({"kalman_r": -1.0}, "kalman_r must be finite and >= 0"),
     ({"kalman_q": -0.5}, "kalman_q must be finite and >= 0"),
     ({"kalman_q": 0.0, "kalman_r": 0.0}, "kalman_q and kalman_r cannot both be zero"),
+    ({"log_floor": -1.0}, "log_floor must be finite and > 0"),
+    ({"log_floor": float("nan")}, "log_floor must be finite and > 0"),
+    ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0"),
+    ({"learning_rate": float("inf")}, "learning_rate must be finite and > 0"),
+    ({"epsilon": float("nan")}, "epsilon must be finite and > 0"),
+    ({"epsilon": -1.0}, "epsilon must be finite and > 0"),
+    ({"sample_rate": 0}, "sample_rate must be > 0"),
+    ({"n_mels": 0}, "n_mels must be >= 1"),
+    ({"trim_threshold_db": 0}, "trim_threshold_db must be finite and > 0"),
+    ({"trim_threshold_db": float("nan")}, "trim_threshold_db must be finite and > 0"),
+    ({"delta_width": 4}, "delta_width must be odd and >= 3"),
+    ({"delta_width": 1}, "delta_width must be odd and >= 3"),
+    ({"seed": -1}, "seed must be >= 0"),
 ])
 def test_bad_values_rejected_at_load(tmp_path, capsys, raw, message):
     path = tmp_path / "cfg.json"

@@ -261,9 +261,10 @@ class TestTrimSilence:
             assert np.array_equal(out.samples, samples)
 
     def test_rejects_nonpositive_threshold(self):
+        # NaN fails every comparison, so a "<= 0" test alone lets it through
         clip = AudioClip(np.ones(10), 8000)
-        for bad in (0.0, -3.0):
-            with pytest.raises(ValueError):
+        for bad in (0.0, -3.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="threshold_db must be finite and > 0"):
                 trim_silence(clip, bad)
 
     @given(
@@ -368,6 +369,18 @@ class TestResampleTrimmed:
         for bad in (0.0, -3.0):
             with pytest.raises(ValueError, match="threshold_db"):
                 resample_trimmed(clip, 22050, bad)
+
+    @pytest.mark.parametrize("rate", [48000, 22050])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_threshold_before_resampling(self, monkeypatch, rate, bad):
+        """A non-finite threshold is rejected before any resampling, at a rate
+        that resamples and at the target rate itself."""
+        read = []
+        monkeypatch.setattr("kftser.dsp.resample", lambda clip, target: read.append(clip))
+        tone = 0.5 * np.sin(2 * np.pi * 220.0 * np.arange(rate) / rate)
+        with pytest.raises(ValueError, match="threshold_db must be finite and > 0"):
+            resample_trimmed(AudioClip(tone, rate), 22050, bad)
+        assert read == []
 
 
 def _naive_frames(x, frame, hop):

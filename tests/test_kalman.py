@@ -512,3 +512,44 @@ def test_per_trajectory_outputs_match_golden_bytes(tmp_path, t_steps, renorm, wa
     got = [hashlib.sha256(b).hexdigest()
            for b in (st.filtered.tobytes(), rts_smooth(st, cfg).tobytes(), path.read_bytes())]
     assert got == want
+
+
+# posterior_filtering's batch (8 trajectories each at 44 to 453 frames,
+# shuffled) through the default grid: the workload itself at dim 4, then
+# noisier batches, with rows that clamp to zero, whose ratios score apart
+TUNE_GOLDEN = [
+    (4, 0.3, False,
+     ["32273d06d16f996ab08492a858c72a0add67b0768e31c2cc19492ff4c05acc73",
+      "997c23778078979f2682a8698869a2346c229b5d85e38051ba2cd01969e12547"]),
+    (4, 0.7, True,
+     ["1fc5585ad9ae0dc764ea6f4ce1ad208221df1347dab92a046716bd2572564588",
+      "78f63b7aa0016edefc7df9ae944d85265c79b8a0b00696a294a09e58abc25da6"]),
+    (9, 0.8, True,
+     ["9473d0f6e258235c457b601940262a534a20d62614563afcb8e8161b4161c124",
+      "cedf022d3a5d02776efcdeccf7dba1c6f0d231880c67c9cae9313971f2193f87"]),
+]
+
+
+@pytest.mark.parametrize("dim, flip_prob, clamp, want", TUNE_GOLDEN)
+def test_tune_matches_golden_bytes(monkeypatch, dim, flip_prob, clamp, want):
+    """The tune's fused mean rows and its accuracies are pinned, not only
+    compared with filter_batch from the same code."""
+    trajs, labels = [], []
+    for t in (44, 88, 151, 302, 453):
+        z, y = synth_noisy_trajectories(8, t, flip_prob=flip_prob, seed=t, n_classes=dim)
+        trajs += z
+        labels += list(y)
+    order = np.random.default_rng(7).permutation(len(trajs))
+    trajs = [trajs[i] for i in order]
+    labels = [labels[i] for i in order]
+    if clamp:
+        for z in trajs[::7]:
+            z[5:9] = -100.0
+    calls = TestZeroSumProjection._count_fallbacks(monkeypatch)
+    cfg = KalmanConfig(dim=dim)
+    fused, _, _ = kalman._filter(trajs, cfg, [ratio * cfg.r for ratio in DEFAULT_RATIO_GRID])
+    res = tune_qr_ratio(trajs, labels, cfg)
+    assert bool(calls) == clamp
+    got = [hashlib.sha256(fused.tobytes()).hexdigest(),
+           hashlib.sha256(repr(sorted(res.accuracies.items())).encode()).hexdigest()]
+    assert got == want
