@@ -1,4 +1,4 @@
-"""Frame flips vs filtering: how much utterance accuracy the filter buys.
+"""Frame flips vs filtering: frame accuracy and fused utterance accuracy.
 
 Uses synthetic posterior trajectories (no audio involved) so the effect of
 the temporal model can be measured in isolation. For each flip probability

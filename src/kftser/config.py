@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +53,9 @@ class PipelineConfig:
             if (not isinstance(value, _ACCEPTED[f.type])
                     or (isinstance(value, bool) and f.type != "bool")):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and isinstance(value, int) and abs(value) > sys.float_info.max:
+                # math.isfinite would raise OverflowError on this int
+                raise ConfigError(f"{f.name} must be finite, got an integer beyond float range")
         if self.n_mfcc != N_MFCC:
             raise ConfigError(
                 f"n_mfcc is fixed at {N_MFCC} (the 41-column feature layout), got {self.n_mfcc}"

@@ -18,24 +18,23 @@ the classifier output. The Rauch-Tung-Striebel smoother (AIAA J., 1965)
 reduces the same way, to the scalar gain p_t / p_{t+1}^p. A q/r grid search
 rides on top; it filters every candidate q in the same pass.
 
-The recursion has two loops with the same arithmetic in the same order. A
-batch, or several q at once (the tune grid), advances on numpy arrays, one
-time step per set of array calls. The batch is sorted by length, longest
-first, and shrinks as trajectories end, so no step is spent on padding;
-each stretch between two lengths works on contiguous copies of the
-still-active state, which keep every call on numpy's contiguous fast path.
-The tune keeps no filtered rows: each trajectory's mean row is summed as
-it goes and fused when its last row is written, by the same steps as
-evaluation.fuse_utterance's mean rule. A single trajectory at a single q
-with dim < 8 runs on Python floats, where numpy's per-call overhead would
-outweigh the arithmetic; the smoother always does. Those float loops are
-generated once per row width by _row_loops, which unrolls each step over
-the row's elements, so a step runs no inner loop and builds no list; they
-read and write the rows as flat lists and do the numpy loop's operations
-in its order. The first use of a width pays about 1 ms to generate them.
-The selection depends only on the input's shape. test_kalman.py's
-TestFilterBatch::test_matches_per_trajectory_filtering holds the two loops
-byte-equal on both sides of the width cut.
+Every trajectory is filtered on Python floats, by a loop that _row_loops
+generates once per row width and unrolls over the row's elements, so a
+step runs no inner loop and builds no list; the smoother runs the same way.
+Where the projection sums a row, the loop adds the elements in the order
+numpy's add.reduce uses (pairwise_sum), so its bits equal a numpy row
+loop's at every width (test_kalman.py's
+TestFilterBatch::test_matches_per_trajectory_filtering). The first use of
+a width pays about 1 ms to generate the loops.
+
+Only the q/r tune runs on numpy arrays: every candidate q and every
+trajectory advance together, one time step per set of array calls. The
+batch is sorted by length, longest first, and shrinks as trajectories
+end, so no step is spent on padding; each stretch between two lengths
+works on contiguous copies of the still-active state. The tune keeps no
+filtered rows: each trajectory's mean row is summed as it goes and fused
+when its last row is written, by the same steps as
+evaluation.fuse_utterance's mean rule.
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ def filter_rows(values, gains, renormalize, uniform):
         for k, {b} in zip(gains, {its}):
             v{i} = a{i} + k * (b{i} - a{i})
             v{i} = 1.0 if v{i} > 1.0 else v{i} if v{i} > 0.0 else 0.0
-            s = 0.0 + {v_sum}
+            s = {v_sum}
             if s:
                 a{i} = v{i} / s
             else:
@@ -156,6 +155,27 @@ def smooth_rows(values, gains):
 """
 
 
+def _row_sum(terms: list[str]) -> str:
+    """Source that adds terms in the order of numpy's pairwise_sum.
+
+    That is how add.reduce sums a float64 row: below 8 terms left to right
+    from 0.0; up to 128, eight strided partial sums added as a tree, then the
+    remaining terms one by one; above 128, the two halves, the first a
+    multiple of 8 long, each summed the same way. Not the built-in sum(),
+    which is compensated from Python 3.12 on and would change the bits.
+    """
+    n = len(terms)
+    if n < 8:
+        return " + ".join(["0.0", *terms])
+    if n <= 128:
+        body = n - n % 8
+        r = ["(" + " + ".join(terms[j:body:8]) + ")" for j in range(8)]
+        tree = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
+        return " + ".join([f"({tree})", *terms[body:]])
+    half = n // 2 - n // 2 % 8
+    return f"({_row_sum(terms[:half])}) + ({_row_sum(terms[half:])})"
+
+
 @functools.lru_cache(maxsize=8)
 def _row_loops(dim: int):
     """The float loops of the filter and the smoother for rows of width dim.
@@ -168,7 +188,7 @@ def _row_loops(dim: int):
     """
     idx = range(dim)
     whole_row = {"chain": " = ".join(f"a{i}" for i in idx),
-                 "v_sum": " + ".join(f"v{i}" for i in idx),
+                 "v_sum": _row_sum([f"v{i}" for i in idx]),
                  "its": ", ".join("it" for _ in idx),
                  "nexts": "next(it), " * dim,
                  **{p: ", ".join(f"{p}{i}" for i in idx) + "," for p in "abn"}}
@@ -185,25 +205,8 @@ def _row_loops(dim: int):
     return namespace["filter_rows"], namespace["smooth_rows"]
 
 
-def _filter_floats(z: np.ndarray, gains: list[float], dim: int,
-                   renormalize: bool) -> list[float]:
-    """_filter's numpy loop for one trajectory at one q, on Python floats.
-
-    Every operation is the one the numpy loop does, in its order: x + k*(z - x),
-    clamp to [0, 1], a left-to-right row sum, divide; a row whose clamped sum
-    is 0 becomes the uniform row. The loop is _row_loops' filter loop,
-    generated once per row width (about 1 ms on first use), so one frame
-    costs a few float operations per element instead of about ten numpy calls
-    on (1, 1, dim) arrays. The sum is written out as 0.0 + v0 + v1 + ...: the
-    built-in sum() is compensated from Python 3.12 on and would change the
-    bits. Takes the rows as one flat list and returns them the same way: numpy
-    converts a flat list both ways far faster than a list of rows.
-    """
-    return _row_loops(dim)[0](z.ravel().tolist(), gains, renormalize, 1.0 / dim)
-
-
-def _filter(arrays: list[np.ndarray], cfg: KalmanConfig, fuse_qs=None):
-    """The one recursion: filtered means of a batch under one or more q values.
+def _tune_means(arrays: list[np.ndarray], cfg: KalmanConfig, qs: list[float]) -> np.ndarray:
+    """Each trajectory's mean filtered row under each q, (n_q, B, dim) in input order.
 
     Trajectories are sorted longest first (stably). Between two consecutive
     distinct lengths the same trajectories are active, the first n of the
@@ -215,82 +218,47 @@ def _filter(arrays: list[np.ndarray], cfg: KalmanConfig, fuse_qs=None):
     q gets its own scalar schedule and its own (n, dim) slice of the state;
     the measurements broadcast across the q axis.
 
-    Without fuse_qs the batch runs at cfg.q and the first return value is
-    each trajectory's (T, dim) filtered means, in input order; one
-    trajectory with dim < 8 runs the same steps in _filter_floats instead.
-    With fuse_qs (the tune grid) no row is kept: each (q, trajectory) keeps
-    a running sum of its rows, and when its last row is written the sum
-    divided by its length becomes its mean row, fused from the stretch's own
-    sums as the stretch ends. The sum adds row after row to 0.0, as numpy's
-    mean over axis 0 of a C-contiguous (T, dim) array does for dim >= 2; the
-    first return value is then the (n_q, B, dim) mean rows, in input order.
-
-    Also returns the predicted and filtered variances, (n_q, T_max) each.
+    No row is kept: each (q, trajectory) keeps a running sum of its rows,
+    and when its last row is written the sum divided by its length becomes
+    its mean row. The sum adds row after row to 0.0, as numpy's mean over
+    axis 0 of a C-contiguous (T, dim) array does for dim >= 2.
     """
-    qs = [cfg.q] if fuse_qs is None else list(fuse_qs)
     order = sorted(range(len(arrays)), key=lambda i: -arrays[i].shape[0])
     lengths = [arrays[i].shape[0] for i in order]
     t_max, batch, dim, n_q = lengths[0], len(arrays), cfg.dim, len(qs)
-    schedules = [_schedule(q, cfg.r, t_max) for q in qs]
-    if fuse_qs is None and batch == 1 and dim < 8:
-        # numpy's last-axis add.reduce sums a row left to right only up to
-        # width 7 (wider rows are summed in unrolled partial sums), so only
-        # below that width can a float loop reproduce the row sums bit for bit
-        p_pred, gains, p_filt = schedules[0]
-        flat = _filter_floats(arrays[0], gains, dim, cfg.renormalize)
-        return ([np.fromiter(flat, np.float64, len(flat)).reshape(t_max, dim)],
-                np.fromiter(p_pred, np.float64, t_max)[None],
-                np.fromiter(p_filt, np.float64, t_max)[None])
-    p_pred, gains, p_filt = (np.array(v) for v in zip(*schedules))
-
-    gains = gains.T.reshape(t_max, n_q, 1, 1)
+    gains = np.array([_schedule(q, cfg.r, t_max)[1] for q in qs]).T.reshape(t_max, n_q, 1, 1)
     x = np.full((n_q, batch, dim), 1.0 / dim)
-    if fuse_qs is None:
-        out = np.empty((t_max, n_q, batch, dim))
-    else:
-        total = np.zeros_like(x)
-        fused = np.empty_like(x)
+    total = np.zeros_like(x)
+    fused = np.empty_like(x)
     active, t_start = batch, 0
     for t_end in sorted(set(lengths)):
         # contiguous copies of the still-active state and sums, and scratch
         # of their shape, so no call in the stretch works on a strided view
         zs = np.stack([arrays[i][t_start:t_end] for i in order[:active]], axis=1)
         x = np.ascontiguousarray(x[:, :active])
+        total = np.ascontiguousarray(total[:, :active])
         step, clipped = np.empty_like(x), np.empty_like(x)
         sums = np.empty((n_q, active, 1))
-        if fuse_qs is None:
-            rows = out[t_start:t_end, :, :active]  # contiguous rows, as n_q == 1
-        else:
-            total = np.ascontiguousarray(total[:, :active])
-            rows = itertools.repeat(x)  # the state is updated in place
-        for zt, row, g in zip(zs, rows, gains[t_start:t_end]):
+        for zt, g in zip(zs, gains[t_start:t_end]):
             np.subtract(zt, x, out=step)
             np.multiply(step, g, out=step)
-            np.add(x, step, out=row)
+            np.add(x, step, out=x)
             if cfg.renormalize:
                 # _renorm_rows' projection in place; the function itself runs
                 # only when some row clamps to all zeros
-                np.maximum(row, 0.0, out=clipped)
+                np.maximum(x, 0.0, out=clipped)
                 np.minimum(clipped, 1.0, out=clipped)
                 np.add.reduce(clipped, axis=-1, keepdims=True, out=sums)
                 if sums.all():
-                    np.divide(clipped, sums, out=row)
+                    np.divide(clipped, sums, out=x)
                 else:
-                    row[...] = _renorm_rows(row, dim)
-            x = row
-            if fuse_qs is not None:
-                np.add(total, row, out=total)
+                    x[...] = _renorm_rows(x, dim)
+            np.add(total, x, out=total)
         ending = lengths.count(t_end)
-        if fuse_qs is not None:
-            np.divide(total[:, active - ending:], t_end, out=fused[:, active - ending:active])
+        np.divide(total[:, active - ending:], t_end, out=fused[:, active - ending:active])
         active -= ending
         t_start = t_end
-
-    position = np.argsort(order)  # column of each input trajectory
-    if fuse_qs is not None:
-        return fused[:, position], p_pred, p_filt
-    return ([out[: a.shape[0], 0, j].copy() for a, j in zip(arrays, position)],
-            p_pred, p_filt)
+    return fused[:, np.argsort(order)]
 
 
 @dataclass
@@ -314,27 +282,33 @@ class SmoothedTrajectory:
 def filter_trajectory(measurements: np.ndarray, cfg: KalmanConfig) -> SmoothedTrajectory:
     """Filter one (T, dim) sequence.
 
-    Causal: row t of the output depends only on measurements 0..t.
+    Causal: row t of the output depends only on measurements 0..t. Runs
+    _row_loops' filter loop on Python floats, where numpy's per-call
+    overhead would outweigh a step's few float operations: x + k*(z - x),
+    clamp to [0, 1], the row sum in numpy's pairwise order, divide; a row
+    whose clamped sum is 0 becomes the uniform row. The rows go in and come
+    out as one flat list each: numpy converts a flat list both ways far
+    faster than a list of rows.
     """
     z = _as_measurements(measurements, cfg)
-    (filtered,), p_pred, p_filt = _filter([z], cfg)
-    return SmoothedTrajectory(raw=z.copy(), filtered=filtered,
-                              predicted_var=p_pred[0], filtered_var=p_filt[0])
+    t_steps = z.shape[0]
+    p_pred, gains, p_filt = _schedule(cfg.q, cfg.r, t_steps)
+    flat = _row_loops(cfg.dim)[0](z.ravel().tolist(), gains, cfg.renormalize, 1.0 / cfg.dim)
+    return SmoothedTrajectory(raw=z.copy(),
+                              filtered=np.fromiter(flat, np.float64, len(flat)).reshape(z.shape),
+                              predicted_var=np.fromiter(p_pred, np.float64, t_steps),
+                              filtered_var=np.fromiter(p_filt, np.float64, t_steps))
 
 
 def filter_batch(measurement_list, cfg: KalmanConfig) -> list[np.ndarray]:
-    """Filtered means for many trajectories at once.
+    """Filtered means for many trajectories, in input order.
 
-    A batch of two or more advances on the numpy loop, the whole batch per
-    time step; filter_trajectory uses the Python-float loop when dim < 8.
-    Both do the same operations in the same order, so each output equals
-    filter_trajectory's byte for byte (test_kalman.py's
-    TestFilterBatch::test_matches_per_trajectory_filtering).
+    Checks every input before filtering any, then filters each one with
+    filter_trajectory, so each output equals filter_trajectory's byte for
+    byte.
     """
     arrays = [_as_measurements(m, cfg) for m in measurement_list]
-    if not arrays:
-        return []
-    return _filter(arrays, cfg)[0]
+    return [filter_trajectory(z, cfg).filtered for z in arrays]
 
 
 def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
@@ -429,7 +403,7 @@ def tune_qr_ratio(measurement_list, labels, cfg: KalmanConfig,
     check_tunable(cfg)
     qs = [replace(cfg, q=ratio * cfg.r).q for ratio in ratios]  # validates each q
     arrays = [_as_measurements(m, cfg) for m in measurement_list]
-    fused, _, _ = _filter(arrays, cfg, qs)
+    fused = _tune_means(arrays, cfg, qs)
     preds = fused.argmax(axis=-1)
     accuracies = {}
     best_ratio, best_acc = None, -1.0

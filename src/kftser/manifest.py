@@ -329,8 +329,10 @@ def generate_synthetic_dataset(
         raise ValueError(f"per_class must be >= 1, got {per_class}")
     if per_class > 192:
         raise ValueError("per_class is capped at 192 (unique code combinations per class)")
-    if duration < 0.5:
-        raise ValueError(f"duration must be >= 0.5 s, got {duration}")
+    if not (math.isfinite(duration) and duration >= 0.5):
+        raise ValueError(f"duration must be finite and >= 0.5 s, got {duration}")
+    if sample_rate < 1:
+        raise ValueError(f"sample_rate must be >= 1 Hz, got {sample_rate}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -56,6 +56,15 @@ class TestSynthAndManifest:
         assert len(m.test_indices) == 4
         assert not set(m.test_indices) & set(m.train_indices)
 
+    @pytest.mark.parametrize("option, value, name", [
+        ("--duration", "inf", "duration"), ("--duration", "nan", "duration"),
+        ("--sample-rate", "0", "sample_rate"), ("--sample-rate", "-5", "sample_rate")])
+    def test_synth_bad_numbers_are_usage_errors(self, tmp_path, capsys, option, value, name):
+        out_dir = tmp_path / "audio"
+        assert main(["synth", "--out-dir", str(out_dir), option, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+        assert not out_dir.exists()
+
     def test_manifest_scans_and_splits(self, cli_ws, tmp_path, capsys):
         out = tmp_path / "m2.json"
         rc = main(["manifest", str(cli_ws["audio"]), "--out", str(out),

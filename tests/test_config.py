@@ -1,6 +1,9 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kftser.config import PipelineConfig
 from kftser.errors import ConfigError
@@ -89,6 +92,9 @@ def test_overrides_beat_file_values_and_none_is_ignored():
     ({"delta_width": 4}, "delta_width must be odd and >= 3"),
     ({"delta_width": 1}, "delta_width must be odd and >= 3"),
     ({"seed": -1}, "seed must be >= 0"),
+    *(({name: 10**400}, f"{name} must be finite")
+      for name in ("trim_threshold_db", "log_floor", "learning_rate", "beta1", "beta2",
+                   "epsilon", "kalman_q", "kalman_r")),
 ])
 def test_bad_values_rejected_at_load(tmp_path, capsys, raw, message):
     path = tmp_path / "cfg.json"
@@ -112,3 +118,26 @@ def test_field_types_checked():
             PipelineConfig.from_dict(raw)
     # ints are valid floats
     assert PipelineConfig.from_dict({"kalman_r": 1}).kalman_r == 1
+
+
+_JSON_VALUES = st.one_of(
+    st.integers(),
+    st.integers(-10**400, 10**400),  # most far beyond float range
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=8),
+    st.none(),
+    st.lists(st.integers(), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(PipelineConfig)]),
+                       _JSON_VALUES, max_size=2))
+def test_any_values_load_or_raise_config_error(raw):
+    """Whatever JSON values a config holds, loading it succeeds or raises
+    ConfigError, which the CLI reports as a usage error; nothing else escapes."""
+    try:
+        PipelineConfig.from_dict(raw)
+    except ConfigError:
+        pass

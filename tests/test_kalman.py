@@ -191,14 +191,36 @@ def _numpy_rts_smooth(st):
     return means
 
 
+def _numpy_filter(z, cfg):
+    """The filter as a numpy row loop: the reference for its float loop.
+
+    Returns the (T, dim) means and the (T,) predicted and filtered variances.
+    """
+    x = np.full(cfg.dim, 1.0 / cfg.dim)
+    means, p_pred, p_filt = np.empty_like(z), np.empty(len(z)), np.empty(len(z))
+    p = 1.0
+    for t, zt in enumerate(z):
+        p_pred[t] = p + cfg.q
+        k = p_pred[t] / (p_pred[t] + cfg.r)
+        p = p_filt[t] = (1.0 - k) * p_pred[t]
+        x = x + k * (zt - x)
+        if cfg.renormalize:
+            clipped = np.minimum(np.maximum(x, 0.0), 1.0)
+            s = np.add.reduce(clipped)
+            x = clipped / s if s else np.full(cfg.dim, 1.0 / cfg.dim)
+        means[t] = x
+    return means, p_pred, p_filt
+
+
 class TestFilterBatch:
     @pytest.mark.parametrize("renorm", [False, True])
     @pytest.mark.parametrize("q, r", [(1e-3, 0.1), (0.0, 0.1), (1e-3, 0.0)])
-    @pytest.mark.parametrize("dim", range(1, 13))
+    @pytest.mark.parametrize("dim", [*range(1, 13), 15, 16, 17, 129, 200])
     def test_matches_per_trajectory_filtering(self, rng, dim, q, r, renorm):
-        """filter_trajectory (Python floats below dim 8) and a batch of several
-        (numpy buffers) agree byte for byte, and so do rts_smooth and its
-        numpy row loop."""
+        """filter_batch, filter_trajectory and a numpy row loop agree byte for
+        byte, variances included, and so do rts_smooth and its numpy row loop.
+        The widths cover every order of numpy's pairwise row sum: left to
+        right below 8, eight partial sums up to 128, halves above that."""
         cfg = KalmanConfig(dim=dim, q=q, r=r, renormalize=renorm)
         trajs = [rng.dirichlet(np.ones(dim), size=7)]
         for t in (1, 2, 17, 60, 453, int(rng.integers(1, 61))):
@@ -209,13 +231,13 @@ class TestFilterBatch:
             z[rng.uniform(size=t) < 0.1] = -0.25  # whole rows that clamp to zero
             trajs.append(z)
         batched = filter_batch(trajs, cfg)
-        _, p_pred, p_filt = kalman._filter(trajs, cfg)
         for z, got in zip(trajs, batched):
             st = filter_trajectory(z, cfg)
+            means, p_pred, p_filt = _numpy_filter(z, cfg)
             assert got.shape == st.filtered.shape == z.shape
-            assert got.tobytes() == st.filtered.tobytes()
-            assert st.predicted_var.tobytes() == p_pred[0, : len(z)].tobytes()
-            assert st.filtered_var.tobytes() == p_filt[0, : len(z)].tobytes()
+            assert got.tobytes() == st.filtered.tobytes() == means.tobytes()
+            assert st.predicted_var.tobytes() == p_pred.tobytes()
+            assert st.filtered_var.tobytes() == p_filt.tobytes()
             assert rts_smooth(st, cfg).tobytes() == _numpy_rts_smooth(st).tobytes()
 
     def test_empty_batch_and_empty_trajectory(self):
@@ -226,6 +248,45 @@ class TestFilterBatch:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 filter_batch([np.ones((3, 4)), np.full((2, 4), bad)], cfg)
+
+
+def _frame_weights(gains):
+    """Closed-form weights of the mean of the filtered rows, without the clamp.
+
+    x_t = (1 - k_t) x_{t-1} + k_t z_t from the uniform start u, so x_t is
+    sum_s k_s prod_{j=s+1..t}(1 - k_j) z_s + prod_{j<=t}(1 - k_j) u. Returns
+    each raw row's weight w_s in the mean over t and the start's weight.
+    """
+    t_steps = len(gains)
+    weights, start = np.zeros(t_steps), 0.0
+    for t in range(t_steps):
+        keep = 1.0  # prod_{j=s+1..t}(1 - k_j)
+        for s in range(t, -1, -1):
+            weights[s] += gains[s] * keep / t_steps
+            keep *= 1.0 - gains[s]
+        start += keep / t_steps
+    return weights, start
+
+
+class TestFrameWeights:
+    @pytest.mark.parametrize("ratio", [1e-4, 1e-2, 1.0])
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_mean_fused_rows_reweight_raw_rows_in_time(self, dim, ratio):
+        """On probability rows the clamp never acts, so the mean of the filtered
+        rows is a fixed reweighting of the raw rows plus the uniform start: the
+        filter adds no evidence to a mean-fused decision."""
+        trajs = []
+        for t_steps in (43, 17, 1, 110):
+            if dim == 1:
+                trajs.append(np.ones((t_steps, 1)))  # the only probability row
+            else:
+                trajs += synth_noisy_trajectories(3, t_steps, seed=t_steps, n_classes=dim)[0]
+        for renorm in (True, False):
+            cfg = KalmanConfig(dim=dim, q=ratio * 0.1, r=0.1, renormalize=renorm)
+            for z, rows in zip(trajs, filter_batch(trajs, cfg)):
+                weights, start = _frame_weights(kalman._schedule(cfg.q, cfg.r, len(z))[1])
+                np.testing.assert_allclose(fuse_utterance(rows)[1], weights @ z + start / dim,
+                                           rtol=0, atol=1e-12)
 
 
 class TestZeroSumProjection:
@@ -252,8 +313,7 @@ class TestZeroSumProjection:
         return np.where(rng.uniform(size=(n, 1)) < 0.5, low, high)
 
     @pytest.mark.parametrize("dim", [1, 4])
-    def test_fallback_matches_naive_and_per_trajectory(self, monkeypatch, rng, dim):
-        calls = self._count_fallbacks(monkeypatch)
+    def test_fallback_matches_naive_and_per_trajectory(self, rng, dim):
         cfg = KalmanConfig(dim=dim, q=1e-3, r=0.0)
         bad = self._bad_rows(rng, 12, dim)
         filtered = filter_trajectory(bad, cfg).filtered
@@ -264,12 +324,10 @@ class TestZeroSumProjection:
         assert low.any()
         assert (filtered[low] == 1.0 / dim).all()
 
-        # one trajectory falls back, the others stay on the fast path
+        # a batch holding the trajectory that falls back gives each its own rows
         trajs = [rng.dirichlet(np.ones(dim), size=t) for t in (5, 12, 9)]
         trajs.insert(1, bad)
-        calls.clear()
         batched = filter_batch(trajs, cfg)
-        assert calls
         for z, got in zip(trajs, batched):
             np.testing.assert_array_equal(got, filter_trajectory(z, cfg).filtered)
 
@@ -316,7 +374,7 @@ class TestZeroSumProjection:
             calls.clear()
             res = tune_qr_ratio(batch, labels[: len(batch)], cfg, ratios=ratios)
             assert bool(calls) == renorm
-            fused, _, _ = kalman._filter(batch, cfg, qs)
+            fused = kalman._tune_means(batch, cfg, qs)
             want = {}
             for ratio, q_k, fused_k in zip(ratios, qs, fused):
                 rows = filter_batch(batch, replace(cfg, q=q_k))
@@ -547,7 +605,7 @@ def test_tune_matches_golden_bytes(monkeypatch, dim, flip_prob, clamp, want):
             z[5:9] = -100.0
     calls = TestZeroSumProjection._count_fallbacks(monkeypatch)
     cfg = KalmanConfig(dim=dim)
-    fused, _, _ = kalman._filter(trajs, cfg, [ratio * cfg.r for ratio in DEFAULT_RATIO_GRID])
+    fused = kalman._tune_means(trajs, cfg, [ratio * cfg.r for ratio in DEFAULT_RATIO_GRID])
     res = tune_qr_ratio(trajs, labels, cfg)
     assert bool(calls) == clamp
     got = [hashlib.sha256(fused.tobytes()).hexdigest(),

@@ -229,9 +229,17 @@ def test_synthetic_angry_louder_than_calm(tmp_path):
 
 
 def test_synthetic_dataset_argument_errors(tmp_path):
+    out_dir = tmp_path / "audio"
     with pytest.raises(ValueError):
-        generate_synthetic_dataset(tmp_path, per_class=0)
+        generate_synthetic_dataset(out_dir, per_class=0)
     with pytest.raises(ValueError):
-        generate_synthetic_dataset(tmp_path, per_class=2, duration=0.2)
+        generate_synthetic_dataset(out_dir, per_class=2, duration=0.2)
     with pytest.raises(ValueError):
-        generate_synthetic_dataset(tmp_path, per_class=500)
+        generate_synthetic_dataset(out_dir, per_class=500)
+    for duration in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            generate_synthetic_dataset(out_dir, per_class=2, duration=duration)
+    for sample_rate in (0, -5):
+        with pytest.raises(ValueError, match="sample_rate must be >= 1"):
+            generate_synthetic_dataset(out_dir, per_class=2, sample_rate=sample_rate)
+    assert not out_dir.exists()  # every argument is checked before the directory is made
