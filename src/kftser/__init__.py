@@ -15,7 +15,7 @@ from .evaluation import (ConfusionMatrix, classification_report, evaluate_pipeli
                          fuse_utterance, synth_noisy_trajectories)
 from .features import (apply_scaler, build_mel_filterbank, compute_delta, compute_rmse,
                        compute_zcr, fit_scaler)
-from .kalman import KalmanConfig, filter_batch, filter_trajectory, rts_smooth
+from .kalman import KalmanConfig, filter_batch, filter_trajectory
 from .manifest import build_manifest, generate_synthetic_dataset, split_manifest
 from .mlp import (cross_entropy, forward_trace, init_model, load_checkpoint, predict_frames,
                   save_checkpoint)
@@ -27,6 +27,6 @@ __all__ = [
     "build_mel_filterbank", "classification_report", "compute_delta", "compute_rmse",
     "compute_zcr", "cross_entropy", "evaluate_pipeline", "filter_batch", "filter_trajectory",
     "fit_scaler", "forward_trace", "fuse_utterance", "generate_synthetic_dataset",
-    "init_model", "load_checkpoint", "pipeline", "predict_frames", "rts_smooth",
-    "save_checkpoint", "split_manifest", "synth_noisy_trajectories",
+    "init_model", "load_checkpoint", "pipeline", "predict_frames", "save_checkpoint",
+    "split_manifest", "synth_noisy_trajectories",
 ]

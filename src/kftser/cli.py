@@ -21,7 +21,7 @@ from .errors import KftserError
 from .evaluation import evaluate_pipeline
 from .kalman import (DEFAULT_RATIO_GRID, check_ratio_grid, check_tunable,
                      filter_trajectory, write_trajectory_csv)
-from .manifest import (CLASS_NAMES, Manifest, build_manifest,
+from .manifest import (CLASS_NAMES, Manifest, build_manifest, check_split,
                        generate_synthetic_dataset, split_manifest)
 from .mlp import load_checkpoint, predict_frames, save_checkpoint, save_trace_csv
 
@@ -167,6 +167,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    check_split(args.test_fraction, args.seed)  # before any file is written
     manifest = generate_synthetic_dataset(args.out_dir, per_class=args.per_class,
                                           sample_rate=args.sample_rate,
                                           duration=args.duration, seed=args.seed)

@@ -27,7 +27,7 @@ def fuse_utterance(smoothed: np.ndarray, rule: str = "mean"):
     to the lowest class index.
 
     kalman.tune_qr_ratio applies the mean rule without keeping the rows: a
-    running row sum from 0.0, divided by T, then argmax (in kalman._filter).
+    running row sum from 0.0, divided by T, then argmax (in kalman._tune_means).
     A change to the mean rule must change that copy too;
     test_kalman.py's test_streamed_tune_matches_filter_batch_then_fuse holds
     the two equal.

@@ -43,6 +43,7 @@ import csv
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -64,12 +65,13 @@ class KalmanConfig:
     renormalize: bool = True
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        if not isinstance(self.dim, numbers.Integral) or self.dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
         for name in ("q", "r"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            _finite_nonneg(name, value)
         if self.q == 0 and self.r == 0:
             raise ValueError(f"q and r cannot both be zero (q={self.q}, r={self.r})")
 
@@ -88,6 +90,18 @@ class KalmanConfig:
     @property
     def R(self) -> np.ndarray:
         return self.r * np.eye(self.dim)
+
+
+def _finite_nonneg(name: str, value) -> float:
+    """value as a float; ValueError unless it is finite and >= 0. An int too
+    large for a float counts as inf, not as an OverflowError."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not (math.isfinite(number) and number >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {number}")
+    return number
 
 
 def _renorm_rows(x: np.ndarray, dim: int) -> np.ndarray:
@@ -376,12 +390,9 @@ def check_tunable(cfg: KalmanConfig) -> None:
 def check_ratio_grid(ratios) -> list[float]:
     """The q/r ratio grid as sorted floats; ValueError unless it is non-empty
     and every ratio is finite and >= 0."""
-    ratios = [float(x) for x in ratios]
+    ratios = [_finite_nonneg("q/r ratio", x) for x in ratios]
     if not ratios:
         raise ValueError("ratio grid is empty")
-    for ratio in ratios:
-        if not (math.isfinite(ratio) and ratio >= 0):
-            raise ValueError(f"q/r ratio must be finite and >= 0, got {ratio}")
     return sorted(ratios)
 
 

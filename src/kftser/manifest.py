@@ -203,6 +203,15 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def check_split(test_fraction: float, seed: int) -> None:
+    """Raise ValueError, naming the argument, unless test_fraction lies in
+    (0, 1) and seed >= 0."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def split_manifest(manifest: Manifest, test_fraction: float, seed: int) -> Manifest:
     """Deterministic stratified split.
 
@@ -210,8 +219,7 @@ def split_manifest(manifest: Manifest, test_fraction: float, seed: int) -> Manif
     if their sum misses the global round-half-up target, classes are
     adjusted by one each in descending-size order until it is hit.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    check_split(test_fraction, seed)
     counts = manifest.class_counts()
     if (counts == 0).any():
         missing = [CLASS_NAMES[i] for i in np.flatnonzero(counts == 0)]
@@ -333,6 +341,8 @@ def generate_synthetic_dataset(
         raise ValueError(f"duration must be finite and >= 0.5 s, got {duration}")
     if sample_rate < 1:
         raise ValueError(f"sample_rate must be >= 1 Hz, got {sample_rate}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 try:
@@ -15,6 +16,8 @@ except ImportError:  # Python 3.10
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kftser.manifest import CLASS_NAMES, Manifest
 from kftser.mlp import init_model, load_checkpoint, save_checkpoint
@@ -58,11 +61,14 @@ class TestSynthAndManifest:
 
     @pytest.mark.parametrize("option, value, name", [
         ("--duration", "inf", "duration"), ("--duration", "nan", "duration"),
-        ("--sample-rate", "0", "sample_rate"), ("--sample-rate", "-5", "sample_rate")])
+        ("--sample-rate", "0", "sample_rate"), ("--sample-rate", "-5", "sample_rate"),
+        ("--test-fraction", "1.5", "test_fraction"), ("--test-fraction", "0", "test_fraction"),
+        ("--test-fraction", "nan", "test_fraction"), ("--seed", "-1", "seed")])
     def test_synth_bad_numbers_are_usage_errors(self, tmp_path, capsys, option, value, name):
+        """Checked before anything is written: no directory, no WAV."""
         out_dir = tmp_path / "audio"
-        assert main(["synth", "--out-dir", str(out_dir), option, value]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+        assert main(["synth", "--out-dir", str(out_dir), "--per-class", "2", option, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must ")
         assert not out_dir.exists()
 
     def test_manifest_scans_and_splits(self, cli_ws, tmp_path, capsys):
@@ -480,6 +486,59 @@ class TestLoggingEnv:
         rc = main(["manifest", str(cli_ws["audio"]), "--out", str(tmp_path / "m.json")])
         assert rc == 0
         assert "unknown KFTSER_LOG" in capsys.readouterr().err
+
+
+# Flags of each subcommand that take a value; positionals come first, in order.
+_ARGV_FLAGS = {
+    "manifest": (["root"], ["--out", "--test-fraction", "--seed"]),
+    "extract": (["manifest"], ["--out-dir", "--config"]),
+    "train": (["manifest"], ["--features", "--out", "--trace", "--config", "--seed",
+                             "--epochs"]),
+    "evaluate": (["manifest"], ["--features", "--checkpoint", "--out-dir", "--config"]),
+    "trajectory": (["audio"], ["--checkpoint", "--out", "--config"]),
+    "tune": (["manifest"], ["--features", "--checkpoint", "--grid", "--out", "--config"]),
+    "synth": ([], ["--out-dir", "--out", "--per-class", "--sample-rate", "--duration",
+                   "--seed", "--test-fraction"]),
+    "run": (["manifest"], ["--out-dir", "--config", "--seed", "--epochs"]),
+}
+_ARGV_VALUES = ["0", "-1", "nan", "inf", "1e400", "abc", "", ",", "0.5",
+                "MISSING", "JUNK", "EMPTY_SPLIT", "LIST_CONFIG"]
+
+
+@st.composite
+def _argv(draw):
+    sub = draw(st.sampled_from(sorted(_ARGV_FLAGS)))
+    positionals, flags = _ARGV_FLAGS[sub]
+    # No drawn value makes real work: synth writes 4 half-second WAVs at most.
+    argv = [sub, "--per-class", "1"] if sub == "synth" else [sub]
+    argv += [draw(st.sampled_from(_ARGV_VALUES)) for _ in positionals]
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True)):
+        argv += [flag, draw(st.sampled_from(_ARGV_VALUES))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_argv_fuzz_exits_with_documented_codes(tmp_path, monkeypatch, argv):
+    """Any argv drawn from a fixed alphabet of bad numbers and bad files ends
+    in exit code 0, 1 or 2, never in a traceback."""
+    work = Path(tempfile.mkdtemp(dir=tmp_path))  # fresh per example: outputs land here
+    files = {"MISSING": work / "missing", "JUNK": work / "junk.bin",
+             "EMPTY_SPLIT": work / "empty.json", "LIST_CONFIG": work / "list.json"}
+    files["JUNK"].write_bytes(b"\x00RIFF junk \xff" * 8)
+    Manifest(records=[]).save(files["EMPTY_SPLIT"])
+    files["LIST_CONFIG"].write_text("[1, 2]\n")
+    argv = [str(files.get(value, value)) for value in argv]
+    monkeypatch.chdir(work)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in stderr.getvalue(), argv
 
 
 def test_outputs_do_not_depend_on_blas_thread_count(tmp_path, child_env):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import tracemalloc
 from dataclasses import replace
@@ -20,7 +21,9 @@ from kftser.kalman import (
     write_trajectory_csv,
 )
 from kftser import kalman
+from kftser.features import N_FEATURES
 from kftser.manifest import CLASS_NAMES
+from kftser.mlp import init_model, predict_frames
 
 
 def _naive_filter(z, cfg):
@@ -250,41 +253,84 @@ class TestFilterBatch:
                 filter_batch([np.ones((3, 4)), np.full((2, 4), bad)], cfg)
 
 
-def _frame_weights(gains):
-    """Closed-form weights of the mean of the filtered rows, without the clamp.
+def _row_weights(gains):
+    """Closed-form weights of each filtered row, without the clamp.
 
     x_t = (1 - k_t) x_{t-1} + k_t z_t from the uniform start u, so x_t is
-    sum_s k_s prod_{j=s+1..t}(1 - k_j) z_s + prod_{j<=t}(1 - k_j) u. Returns
-    each raw row's weight w_s in the mean over t and the start's weight.
+    sum_s A[t, s] z_s + c_t u with A[t, s] = k_s prod_{j=s+1..t}(1 - k_j) and
+    c_t = prod_{j<=t}(1 - k_j). Returns the (T, T) A and the (T,) c.
     """
     t_steps = len(gains)
-    weights, start = np.zeros(t_steps), 0.0
-    for t in range(t_steps):
-        keep = 1.0  # prod_{j=s+1..t}(1 - k_j)
-        for s in range(t, -1, -1):
-            weights[s] += gains[s] * keep / t_steps
-            keep *= 1.0 - gains[s]
-        start += keep / t_steps
-    return weights, start
+    a, c = np.zeros((t_steps, t_steps)), np.empty(t_steps)
+    row, start = np.zeros(t_steps), 1.0
+    for t, k in enumerate(gains):
+        row *= 1.0 - k
+        row[t] = k
+        start *= 1.0 - k
+        a[t], c[t] = row, start
+    return a, c
+
+
+@functools.lru_cache(maxsize=None)
+def _mean_weights(q, r, t_steps, smoothed):
+    """Each raw row's weight in the mean of the T filtered rows (or of the T
+    RTS-smoothed rows), and the uniform start's weight.
+
+    The smoother's s_{T-1} = x_{T-1} and s_t = x_t + g_t (s_{t+1} - x_t),
+    g_t = filtered_var[t] / predicted_var[t+1], combine filtered rows with
+    fixed coefficients, so they combine the filtered rows' weights the same way.
+    """
+    p_pred, gains, p_filt = kalman._schedule(q, r, t_steps)
+    a, c = _row_weights(gains)
+    if smoothed:
+        for t in range(t_steps - 2, -1, -1):
+            g = p_filt[t] / p_pred[t + 1]
+            a[t] += g * (a[t + 1] - a[t])
+            c[t] += g * (c[t + 1] - c[t])
+    return a.mean(axis=0), c.mean()
+
+
+def _probability_rows(dim):
+    """Rows the clamp never touches: softmax rows of an untrained net and, above
+    width 1, the Dirichlet rows of synth_noisy_trajectories, at 1 to 453 frames.
+    At width 1 the only probability row is [1.0]."""
+    rng = np.random.default_rng(dim)
+    model = init_model((N_FEATURES, 256, 128, dim), seed=dim,
+                       class_order=tuple(map(str, range(dim))))
+    trajs = []
+    for t_steps in (43, 17, 1, 110, 453):
+        trajs.append(predict_frames(model, rng.normal(size=(t_steps, N_FEATURES))))
+        if dim > 1:
+            trajs += synth_noisy_trajectories(3, t_steps, seed=t_steps, n_classes=dim)[0]
+    return trajs
 
 
 class TestFrameWeights:
+    """On probability rows the clamp never acts, so the filter and the smoother
+    are linear in the raw rows with weights that depend only on q, r and T: mean
+    fusion of their rows is a fixed reweighting of the raw rows in time, plus
+    the uniform start, and adds no evidence to the decision."""
+
     @pytest.mark.parametrize("ratio", [1e-4, 1e-2, 1.0])
     @pytest.mark.parametrize("dim", range(1, 13))
     def test_mean_fused_rows_reweight_raw_rows_in_time(self, dim, ratio):
-        """On probability rows the clamp never acts, so the mean of the filtered
-        rows is a fixed reweighting of the raw rows plus the uniform start: the
-        filter adds no evidence to a mean-fused decision."""
-        trajs = []
-        for t_steps in (43, 17, 1, 110):
-            if dim == 1:
-                trajs.append(np.ones((t_steps, 1)))  # the only probability row
-            else:
-                trajs += synth_noisy_trajectories(3, t_steps, seed=t_steps, n_classes=dim)[0]
+        trajs = _probability_rows(dim)
         for renorm in (True, False):
             cfg = KalmanConfig(dim=dim, q=ratio * 0.1, r=0.1, renormalize=renorm)
             for z, rows in zip(trajs, filter_batch(trajs, cfg)):
-                weights, start = _frame_weights(kalman._schedule(cfg.q, cfg.r, len(z))[1])
+                weights, start = _mean_weights(cfg.q, cfg.r, len(z), smoothed=False)
+                np.testing.assert_allclose(fuse_utterance(rows)[1], weights @ z + start / dim,
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("ratio", [1e-4, 1e-2, 1.0])
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_mean_smoothed_rows_reweight_raw_rows_in_time(self, dim, ratio):
+        trajs = _probability_rows(dim)
+        for renorm in (True, False):
+            cfg = KalmanConfig(dim=dim, q=ratio * 0.1, r=0.1, renormalize=renorm)
+            for z in trajs:
+                rows = rts_smooth(filter_trajectory(z, cfg), cfg)
+                weights, start = _mean_weights(cfg.q, cfg.r, len(z), smoothed=True)
                 np.testing.assert_allclose(fuse_utterance(rows)[1], weights @ z + start / dim,
                                            rtol=0, atol=1e-12)
 
@@ -330,6 +376,25 @@ class TestZeroSumProjection:
         batched = filter_batch(trajs, cfg)
         for z, got in zip(trajs, batched):
             np.testing.assert_array_equal(got, filter_trajectory(z, cfg).filtered)
+
+    def test_probability_rows_never_fall_back(self, monkeypatch):
+        """A convex step from a simplex row to a probability row stays on the
+        simplex, so the projection's zero-sum fallback is unreachable on noisy
+        Dirichlet rows and on softmax rows, even at ratios 0 and 100."""
+
+        def unreachable(x, dim):
+            raise AssertionError("zero-sum fallback reached on probability rows")
+
+        monkeypatch.setattr(kalman, "_renorm_rows", unreachable)
+        rng = np.random.default_rng(3)
+        model = init_model(seed=3)
+        trajs, labels = synth_noisy_trajectories(12, 60, flip_prob=0.6, seed=3)
+        for t_steps in (1, 17, 60, 110):
+            trajs.append(predict_frames(model, rng.normal(size=(t_steps, N_FEATURES))))
+        labels = [*labels, 0, 1, 2, 3]
+        ratios = (0.0, 1e-4, 1e-2, 1.0, 100.0)
+        res = tune_qr_ratio(trajs, labels, KalmanConfig(), ratios=ratios)
+        assert set(res.accuracies) == set(ratios)
 
     def test_tune_matches_separate_batches(self, monkeypatch):
         calls = self._count_fallbacks(monkeypatch)
@@ -495,9 +560,11 @@ class TestTuning:
             tune_qr_ratio([], [], KalmanConfig())
         with pytest.raises(ValueError, match=r"needs kalman_r > 0, got kalman_r=0.0"):
             tune_qr_ratio(trajs, labels, KalmanConfig(r=0.0))
-        for bad in (-0.1, np.nan, np.inf):
-            with pytest.raises(ValueError, match=f"q/r ratio must be finite and >= 0, got {bad}"):
+        for bad, shown in ((-0.1, -0.1), (np.nan, np.nan), (np.inf, np.inf), (10**400, np.inf)):
+            with pytest.raises(ValueError, match=f"q/r ratio must be finite and >= 0, got {shown}"):
                 tune_qr_ratio(trajs, labels, KalmanConfig(), ratios=(0.01, bad))
+        with pytest.raises(ValueError, match="got inf"):
+            kalman.check_ratio_grid([10**400])
 
 
 class TestConfigAndCsv:
@@ -515,6 +582,16 @@ class TestConfigAndCsv:
                 KalmanConfig(r=bad)
         with pytest.raises(ValueError, match=r"q=0\.0, r=0\.0"):
             KalmanConfig(q=0.0, r=0.0)
+        # an int beyond float range is not finite, not an OverflowError
+        with pytest.raises(ValueError, match="q must be finite and >= 0, got inf"):
+            KalmanConfig(q=10**400)
+        with pytest.raises(ValueError, match="r must be finite and >= 0, got inf"):
+            KalmanConfig(r=10**400)
+        for bad in (4.0, "4", None):
+            with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+                KalmanConfig(dim=bad)
+        with pytest.raises(ValueError, match="q must be a real number"):
+            KalmanConfig(q="0.1")
         KalmanConfig(q=0.0, r=0.1)
         KalmanConfig(q=1e-3, r=0.0)
 
