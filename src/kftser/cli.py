@@ -8,7 +8,6 @@ KFTSER_LOG (error|warn|info|debug) sets logging verbosity.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -22,7 +21,7 @@ from .evaluation import evaluate_pipeline
 from .kalman import (DEFAULT_RATIO_GRID, check_ratio_grid, check_tunable,
                      filter_trajectory, write_trajectory_csv)
 from .manifest import (CLASS_NAMES, Manifest, build_manifest, check_split,
-                       generate_synthetic_dataset, split_manifest)
+                       generate_synthetic_dataset, split_manifest, write_json)
 from .mlp import load_checkpoint, predict_frames, save_checkpoint, save_trace_csv
 
 log = logging.getLogger("kftser.cli")
@@ -159,9 +158,7 @@ def cmd_tune(args) -> int:
     result = pipeline.tune_from_manifest(model, manifest, args.features, kcfg, ratios=ratios)
     payload = {"best_ratio": result.best_ratio, "best_q": result.best_q,
                "accuracies": {str(k): v for k, v in result.accuracies.items()}}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(args.out, payload)
     _print_tune(result)
     return 0
 

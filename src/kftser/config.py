@@ -1,9 +1,8 @@
 """Flat pipeline configuration: one JSON document, one dataclass.
 
 Defaults are the pipeline-wide conventions: 22,050 Hz audio, 20 dB trim
-threshold, 2048/512 framing, 40 mel filters, 13 cepstral coefficients,
-delta regression width 9, canonical Adam hyperparameters, and a strongly
-smoothing q/r ratio of 0.01.
+threshold, 2048/512 framing, 40 mel filters, delta regression width 9,
+canonical Adam hyperparameters, and a strongly smoothing q/r ratio of 0.01.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .evaluation import FUSION_RULES
 from .features import N_MFCC
+from .manifest import write_json
 
 # JSON value types accepted per annotated field type; bools are never numbers here
 _ACCEPTED = {"int": int, "float": (int, float), "bool": bool, "str": str}
@@ -26,12 +26,18 @@ _ACCEPTED = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting a caller can vary, checked when the config is built.
+
+    The 13 cepstral coefficients are fixed by features.N_MFCC (the 41-column
+    layout), so n_mels must be at least 13; ZCR needs frame_length >= 2.
+    Training always shuffles, seeded by seed.
+    """
+
     sample_rate: int = 22050
     trim_threshold_db: float = 20.0
     frame_length: int = 2048
     hop_length: int = 512
     n_mels: int = 40
-    n_mfcc: int = 13
     delta_width: int = 9
     log_floor: float = 1e-10
     learning_rate: float = 1e-3
@@ -40,7 +46,6 @@ class PipelineConfig:
     epsilon: float = 1e-8
     batch_size: int = 64
     epochs: int = 100
-    shuffle: bool = True
     kalman_q: float = 1e-3
     kalman_r: float = 0.1
     renormalize: bool = True
@@ -56,15 +61,12 @@ class PipelineConfig:
             if f.type == "float" and isinstance(value, int) and abs(value) > sys.float_info.max:
                 # math.isfinite would raise OverflowError on this int
                 raise ConfigError(f"{f.name} must be finite, got an integer beyond float range")
-        if self.n_mfcc != N_MFCC:
-            raise ConfigError(
-                f"n_mfcc is fixed at {N_MFCC} (the 41-column feature layout), got {self.n_mfcc}"
-            )
         if self.fusion not in FUSION_RULES:
             raise ConfigError(f"fusion must be one of {FUSION_RULES}, got {self.fusion!r}")
         for name, ok, need in (
             ("sample_rate", self.sample_rate > 0, "> 0"),
-            ("n_mels", self.n_mels >= 1, ">= 1"),
+            ("frame_length", self.frame_length >= 2, ">= 2"),
+            ("n_mels", self.n_mels >= N_MFCC, f">= {N_MFCC}"),
             ("delta_width", self.delta_width >= 3 and self.delta_width % 2 == 1, "odd and >= 3"),
             ("trim_threshold_db", math.isfinite(self.trim_threshold_db)
              and self.trim_threshold_db > 0, "finite and > 0"),
@@ -106,9 +108,7 @@ class PipelineConfig:
         return dataclasses.asdict(self)
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def with_overrides(self, **overrides) -> "PipelineConfig":
         """Apply non-None overrides (CLI flags beat config-file values)."""

@@ -6,14 +6,13 @@ exercise the filtering stage without any audio.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .kalman import KalmanConfig, filter_batch
-from .manifest import CLASS_NAMES
+from .manifest import CLASS_NAMES, write_json
 from .mlp import MlpModel, predict_frames
 
 FUSION_RULES = ("mean", "max", "final")
@@ -141,9 +140,7 @@ class EvalReport:
         }
 
     def save_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def format_table(self) -> str:
         names = self.confusion.class_names
@@ -226,9 +223,7 @@ class GainReport:
         }
 
     def save_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 @dataclass

@@ -22,6 +22,13 @@ from .errors import EmptyDatasetError, FilenameParseError, KftserError
 log = logging.getLogger("kftser.manifest")
 
 
+def write_json(path: str | Path, obj) -> None:
+    """Write obj as two-space-indented JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 class Emotion(enum.IntEnum):
     ANGRY = 0
     CALM = 1
@@ -108,9 +115,7 @@ class Manifest:
         )
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "Manifest":

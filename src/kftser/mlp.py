@@ -67,13 +67,14 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Adam and batching settings; every epoch draws a fresh permutation seeded by seed."""
+
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     batch_size: int = 64
     epochs: int = 100
-    shuffle: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -313,7 +314,7 @@ def train(model: MlpModel, rows: np.ndarray, labels: np.ndarray,
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as scorer:
         scored = None  # the previous epoch's accuracy, still being computed
         for _ in range(cfg.epochs):
-            order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+            order = rng.permutation(n)
             epoch_loss = 0.0
             for start in range(0, n, size):
                 idx = order[start : start + size]

@@ -39,7 +39,7 @@ def _filterbank(n_mels: int, sample_rate: int, n_fft: int) -> MelFilterbank:
 def train_config(cfg: PipelineConfig) -> TrainConfig:
     return TrainConfig(learning_rate=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
                        epsilon=cfg.epsilon, batch_size=cfg.batch_size, epochs=cfg.epochs,
-                       shuffle=cfg.shuffle, seed=cfg.seed)
+                       seed=cfg.seed)
 
 
 def kalman_config(cfg: PipelineConfig) -> KalmanConfig:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kftser.config import PipelineConfig
 from kftser.errors import ConfigError
+from kftser.manifest import generate_synthetic_dataset, split_manifest
 from kftser.cli import main
 
 
@@ -17,7 +18,6 @@ def test_defaults_match_pipeline_conventions():
     assert cfg.frame_length == 2048
     assert cfg.hop_length == 512
     assert cfg.n_mels == 40
-    assert cfg.n_mfcc == 13
     assert cfg.delta_width == 9
     assert cfg.learning_rate == 1e-3
     assert (cfg.beta1, cfg.beta2, cfg.epsilon) == (0.9, 0.999, 1e-8)
@@ -36,12 +36,40 @@ def test_unknown_keys_rejected():
         PipelineConfig.from_dict({"learning_rte": 0.1})
 
 
-def test_n_mfcc_other_than_13_rejected():
-    with pytest.raises(ConfigError, match="n_mfcc is fixed at 13"):
-        PipelineConfig.from_dict({"n_mfcc": 20})
-    with pytest.raises(ConfigError, match="n_mfcc"):
-        PipelineConfig().with_overrides(n_mfcc=12)
-    assert PipelineConfig.from_dict({"n_mfcc": 13}) == PipelineConfig()
+@pytest.mark.parametrize("raw", [{"n_mfcc": 13}, {"shuffle": True}])
+def test_deleted_keys_rejected_as_unknown(raw):
+    """n_mfcc (fixed by features.N_MFCC) and shuffle (always on) are no longer
+    keys, so a file an older save wrote with them is a config error."""
+    with pytest.raises(ConfigError, match=f"unknown config keys: {next(iter(raw))}$"):
+        PipelineConfig.from_dict(raw)
+
+
+def test_smallest_n_mels_and_frame_length_accepted():
+    assert PipelineConfig.from_dict({"n_mels": 13}).n_mels == 13
+    assert PipelineConfig.from_dict({"frame_length": 2, "hop_length": 1}).frame_length == 2
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"n_mfcc": 13}, "n_mfcc"),
+    ({"shuffle": True}, "shuffle"),
+    ({"n_mels": 12}, "n_mels"),
+    ({"frame_length": 1, "hop_length": 1}, "frame_length"),
+])
+def test_extract_stops_at_config_before_any_file(tmp_path, capsys, raw, key):
+    """A config the 41-column layout cannot use, or one naming a deleted key,
+    is a usage error before extraction writes anything."""
+    manifest = split_manifest(generate_synthetic_dataset(tmp_path / "audio", per_class=1,
+                                                         seed=2), 0.5, seed=2)
+    manifest.save(tmp_path / "manifest.json")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out_dir = tmp_path / "features"
+    rc = main(["extract", str(tmp_path / "manifest.json"), "--out-dir", str(out_dir),
+               "--config", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and key in err
+    assert not out_dir.exists()
 
 
 def test_file_round_trip_is_lossless(tmp_path):
@@ -86,7 +114,9 @@ def test_overrides_beat_file_values_and_none_is_ignored():
     ({"epsilon": float("nan")}, "epsilon must be finite and > 0"),
     ({"epsilon": -1.0}, "epsilon must be finite and > 0"),
     ({"sample_rate": 0}, "sample_rate must be > 0"),
-    ({"n_mels": 0}, "n_mels must be >= 1"),
+    ({"n_mels": 0}, "n_mels must be >= 13"),
+    ({"n_mels": 12}, "n_mels must be >= 13"),
+    ({"frame_length": 1, "hop_length": 1}, "frame_length must be >= 2"),
     ({"trim_threshold_db": 0}, "trim_threshold_db must be finite and > 0"),
     ({"trim_threshold_db": float("nan")}, "trim_threshold_db must be finite and > 0"),
     ({"delta_width": 4}, "delta_width must be odd and >= 3"),
@@ -112,7 +142,7 @@ def test_bad_values_rejected_at_load(tmp_path, capsys, raw, message):
 
 
 def test_field_types_checked():
-    for raw in ({"seed": 1.0}, {"shuffle": 1}, {"epochs": True}, {"kalman_q": "0.1"},
+    for raw in ({"seed": 1.0}, {"renormalize": 1}, {"epochs": True}, {"kalman_q": "0.1"},
                 {"fusion": None}):
         with pytest.raises(ConfigError, match=f"{next(iter(raw))} must be"):
             PipelineConfig.from_dict(raw)

@@ -68,6 +68,12 @@ class TestWavToFeatures:
         assert fm.rows.shape[1] == 41
         assert fm.n_frames > 0
 
+    def test_fewest_mel_filters_give_41_finite_columns(self, tone_workspace):
+        rec = tone_workspace["manifest"].records[0]
+        fm = wav_to_features(rec.file_path, PipelineConfig(n_mels=13))
+        assert fm.rows.shape[1] == 41
+        assert np.all(np.isfinite(fm.rows))
+
     def test_resamples_foreign_rates(self, tmp_path, rng):
         path = tmp_path / "hi.wav"
         t = np.arange(44100) / 44100.0
