@@ -74,7 +74,7 @@ def _train(manifest, features_dir, cfg, out):
     return model, trace
 
 
-def _print_tune(result) -> None:
+def _print_tune(result, fusion: str) -> None:
     for ratio in sorted(result.accuracies):
         print(f"ratio {ratio:g}: accuracy {result.accuracies[ratio]:.4f}")
     print(f"best ratio: {result.best_ratio:g} (q={result.best_q:g})")
@@ -82,6 +82,9 @@ def _print_tune(result) -> None:
     if len(result.accuracies) > 1 and len(scores) == 1:
         print(f"note: all {len(result.accuracies)} ratios tie at accuracy {scores.pop():.4f}, "
               "so the pick is the smallest ratio, the edge of the grid")
+    if fusion != "mean":
+        print(f"note: the tune scores each ratio by mean fusion; the config's fusion "
+              f"is {fusion!r}, so the pick is not tuned for it")
 
 
 def _evaluate(model, kcfg, mats, labels, fusion, out_dir) -> None:
@@ -159,7 +162,7 @@ def cmd_tune(args) -> int:
     payload = {"best_ratio": result.best_ratio, "best_q": result.best_q,
                "accuracies": {str(k): v for k, v in result.accuracies.items()}}
     write_json(args.out, payload)
-    _print_tune(result)
+    _print_tune(result, cfg.fusion)
     return 0
 
 
@@ -190,7 +193,7 @@ def cmd_run(args) -> int:
     _extract(manifest, cfg, features_dir)
     model, _ = _train(manifest, features_dir, cfg, out_dir / "model.ckpt")
     tuned = pipeline.tune_from_manifest(model, manifest, features_dir, kcfg)
-    _print_tune(tuned)
+    _print_tune(tuned, cfg.fusion)
     kcfg = replace(kcfg, q=tuned.best_q)
     mats, labels = pipeline.test_set(manifest, features_dir)
     _evaluate(model, kcfg, mats, labels, cfg.fusion, out_dir)

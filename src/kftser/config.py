@@ -3,6 +3,8 @@
 Defaults are the pipeline-wide conventions: 22,050 Hz audio, 20 dB trim
 threshold, 2048/512 framing, 40 mel filters, delta regression width 9,
 canonical Adam hyperparameters, and a strongly smoothing q/r ratio of 0.01.
+framing_config, train_config and kalman_config map it onto the per-module
+configs.
 """
 
 from __future__ import annotations
@@ -15,13 +17,16 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from .dsp import FramingConfig
 from .errors import ConfigError
 from .evaluation import FUSION_RULES
 from .features import N_MFCC
-from .manifest import write_json
+from .kalman import KalmanConfig
+from .manifest import CLASS_NAMES, write_json
+from .mlp import TrainConfig
 
 # JSON value types accepted per annotated field type; bools are never numbers here
-_ACCEPTED = {"int": int, "float": (int, float), "bool": bool, "str": str}
+_ACCEPTED = {"int": int, "float": (int, float), "str": str}
 
 
 @dataclass(frozen=True)
@@ -48,15 +53,13 @@ class PipelineConfig:
     epochs: int = 100
     kalman_q: float = 1e-3
     kalman_r: float = 0.1
-    renormalize: bool = True
     fusion: str = "mean"
     seed: int = 0
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if (not isinstance(value, _ACCEPTED[f.type])
-                    or (isinstance(value, bool) and f.type != "bool")):
+            if not isinstance(value, _ACCEPTED[f.type]) or isinstance(value, bool):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
             if f.type == "float" and isinstance(value, int) and abs(value) > sys.float_info.max:
                 # math.isfinite would raise OverflowError on this int
@@ -74,15 +77,13 @@ class PipelineConfig:
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
-        from . import pipeline  # imports this module, so not at the top
-
         try:
-            pipeline.framing_config(self)
-            pipeline.train_config(self)
+            framing_config(self)
+            train_config(self)
         except ValueError as exc:
             raise ConfigError(f"invalid config: {exc}") from None
         try:
-            pipeline.kalman_config(self)
+            kalman_config(self)
         except ValueError as exc:
             # KalmanConfig calls its fields q and r; name the keys the user wrote
             message = re.sub(r"\b([qr])\b", r"kalman_\1", str(exc))
@@ -114,3 +115,17 @@ class PipelineConfig:
         """Apply non-None overrides (CLI flags beat config-file values)."""
         kept = {k: v for k, v in overrides.items() if v is not None}
         return dataclasses.replace(self, **kept) if kept else self
+
+
+def framing_config(cfg: PipelineConfig) -> FramingConfig:
+    return FramingConfig(frame_length=cfg.frame_length, hop_length=cfg.hop_length)
+
+
+def train_config(cfg: PipelineConfig) -> TrainConfig:
+    return TrainConfig(learning_rate=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
+                       epsilon=cfg.epsilon, batch_size=cfg.batch_size, epochs=cfg.epochs,
+                       seed=cfg.seed)
+
+
+def kalman_config(cfg: PipelineConfig) -> KalmanConfig:
+    return KalmanConfig(dim=len(CLASS_NAMES), q=cfg.kalman_q, r=cfg.kalman_r)

@@ -282,12 +282,11 @@ def evaluate_pipeline(model: MlpModel, kalman_cfg: KalmanConfig,
     )
 
 
-def synth_noisy_trajectories(n: int, t_steps: int, flip_prob: float = 0.3,
-                             concentration: float = 1.0, seed: int = 0,
+def synth_noisy_trajectories(n: int, t_steps: int, flip_prob: float = 0.3, seed: int = 0,
                              n_classes: int = 4):
     """Labeled synthetic posterior trajectories for filter/fusion tests.
 
-    Labels cycle round-robin. Each frame draws a Dirichlet vector and swaps
+    Labels cycle round-robin. Each frame draws a flat Dirichlet row and swaps
     its peak onto the true class, except with probability flip_prob the peak
     lands on a random wrong class instead. Returns (trajectories, labels).
     """
@@ -297,11 +296,10 @@ def synth_noisy_trajectories(n: int, t_steps: int, flip_prob: float = 0.3,
         raise ValueError("need n >= 1 trajectories of t_steps >= 1 frames")
     rng = np.random.default_rng(seed)
     labels = np.arange(n, dtype=np.intp) % n_classes
-    alpha = np.full(n_classes, concentration)
     trajectories = []
     rows = np.arange(t_steps)
     for label in labels:
-        p = rng.dirichlet(alpha, size=t_steps)
+        p = rng.dirichlet(np.ones(n_classes), size=t_steps)
         flips = rng.random(t_steps) < flip_prob
         offsets = rng.integers(1, n_classes, size=t_steps)
         targets = np.where(flips, (label + offsets) % n_classes, label)

@@ -188,7 +188,12 @@ def extract_features(
     log_floor: float = 1e-10,
     utterance_id: str = "",
 ) -> FeatureMatrix:
-    """Assemble the 41-column feature matrix for one (resampled, trimmed) clip."""
+    """Assemble the 41-column feature matrix for one (resampled, trimmed) clip.
+
+    ZCR needs two samples per frame, so frame_length must be at least 2.
+    """
+    if cfg.frame_length < 2:
+        raise ValueError(f"frame_length must be >= 2 for ZCR, got {cfg.frame_length}")
     if clip.sample_rate != fb.sample_rate:
         raise ValueError(
             f"clip rate {clip.sample_rate} != filterbank rate {fb.sample_rate}; resample first"

@@ -317,12 +317,10 @@ def filter_trajectory(measurements: np.ndarray, cfg: KalmanConfig) -> SmoothedTr
 def filter_batch(measurement_list, cfg: KalmanConfig) -> list[np.ndarray]:
     """Filtered means for many trajectories, in input order.
 
-    Checks every input before filtering any, then filters each one with
-    filter_trajectory, so each output equals filter_trajectory's byte for
-    byte.
+    Each is filter_trajectory's filtered rows, byte for byte; a bad input
+    raises filter_trajectory's ValueError when its turn comes.
     """
-    arrays = [_as_measurements(m, cfg) for m in measurement_list]
-    return [filter_trajectory(z, cfg).filtered for z in arrays]
+    return [filter_trajectory(m, cfg).filtered for m in measurement_list]
 
 
 def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
@@ -402,8 +400,9 @@ def tune_qr_ratio(measurement_list, labels, cfg: KalmanConfig,
 
     Every candidate runs in one pass of the batched recursion, which keeps
     only each trajectory's mean row; the decision is its argmax, exactly as
-    fuse_utterance's mean rule on filter_batch's rows. Ties between ratios go
-    to the smaller ratio, i.e. the more smoothed filter.
+    fuse_utterance's mean rule on filter_batch's rows. The score is always
+    mean fusion, whatever rule the caller later fuses with. Ties between
+    ratios go to the smaller ratio, i.e. the more smoothed filter.
     """
     labels = np.asarray(labels, dtype=np.intp)
     if len(labels) != len(measurement_list):

@@ -1,5 +1,7 @@
-"""Glue between the flat PipelineConfig and the per-module configs, plus
-the audio-to-features and manifest-to-dataset paths the CLI runs.
+"""The audio-to-features and manifest-to-dataset paths the CLI runs.
+
+framing_config, train_config and kalman_config (config's mapping from the
+flat PipelineConfig to the per-module configs) are reachable here too.
 """
 
 from __future__ import annotations
@@ -10,20 +12,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig
-from .dsp import FramingConfig, decode_wav, resample_trimmed
+from .config import PipelineConfig, framing_config, kalman_config, train_config
+from .dsp import decode_wav, resample_trimmed
 from .errors import KftserError
 from .features import (FeatureMatrix, MelFilterbank, build_mel_filterbank,
                        extract_features, fit_scaler, load_features, save_features)
 from .kalman import DEFAULT_RATIO_GRID, KalmanConfig, TuneResult, tune_qr_ratio
 from .manifest import CLASS_NAMES, Manifest
-from .mlp import MlpModel, TrainConfig, TrainTrace, init_model, predict_frames, train
+from .mlp import MlpModel, TrainTrace, init_model, predict_frames, train
 
 log = logging.getLogger("kftser.pipeline")
-
-
-def framing_config(cfg: PipelineConfig) -> FramingConfig:
-    return FramingConfig(frame_length=cfg.frame_length, hop_length=cfg.hop_length)
 
 
 def mel_filterbank(cfg: PipelineConfig) -> MelFilterbank:
@@ -34,17 +32,6 @@ def mel_filterbank(cfg: PipelineConfig) -> MelFilterbank:
 @functools.lru_cache(maxsize=8)
 def _filterbank(n_mels: int, sample_rate: int, n_fft: int) -> MelFilterbank:
     return build_mel_filterbank(n_filters=n_mels, sample_rate=sample_rate, n_fft=n_fft)
-
-
-def train_config(cfg: PipelineConfig) -> TrainConfig:
-    return TrainConfig(learning_rate=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
-                       epsilon=cfg.epsilon, batch_size=cfg.batch_size, epochs=cfg.epochs,
-                       seed=cfg.seed)
-
-
-def kalman_config(cfg: PipelineConfig) -> KalmanConfig:
-    return KalmanConfig(dim=len(CLASS_NAMES), q=cfg.kalman_q, r=cfg.kalman_r,
-                        renormalize=cfg.renormalize)
 
 
 def wav_to_features(path: str | Path, cfg: PipelineConfig,

@@ -344,9 +344,25 @@ class TestTune:
 
     def test_no_tie_note_when_the_ratios_differ(self, capsys):
         _print_tune(TuneResult(best_ratio=0.01, best_q=0.001,
-                               accuracies={0.001: 0.5, 0.01: 0.75}))
-        _print_tune(TuneResult(best_ratio=0.01, best_q=0.001, accuracies={0.01: 0.75}))
+                               accuracies={0.001: 0.5, 0.01: 0.75}), "mean")
+        _print_tune(TuneResult(best_ratio=0.01, best_q=0.001, accuracies={0.01: 0.75}), "mean")
         assert "note:" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fusion", ["mean", "max", "final"])
+    def test_a_fusion_the_tune_does_not_score_gets_a_note(self, cli_ws, tmp_path, capsys,
+                                                          fusion):
+        """The tune always scores mean fusion; any other config rule is named."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fusion": fusion}))
+        rc = main(["tune", str(cli_ws["manifest"]), "--features", str(cli_ws["features"]),
+                   "--checkpoint", str(cli_ws["ckpt"]), "--grid", "0.001,0.1",
+                   "--out", str(tmp_path / "t.json"), "--config", str(cfg)])
+        assert rc == 0
+        notes = [line for line in capsys.readouterr().out.splitlines()
+                 if "mean fusion" in line]
+        expected = [f"note: the tune scores each ratio by mean fusion; the config's fusion "
+                    f"is '{fusion}', so the pick is not tuned for it"]
+        assert notes == ([] if fusion == "mean" else expected)
 
     @pytest.mark.parametrize("grid, message", [
         (",", "ratio grid is empty"),
@@ -396,6 +412,7 @@ class TestRun:
         out_dir, stdout = run_ws
         assert "best ratio:" in stdout
         assert "utterance accuracy:" in stdout
+        assert "mean fusion" not in stdout  # no fusion note at the default rule
         for name in ("model.ckpt", "eval_report.json", "gain_report.json",
                      "confusion.csv", "trajectory_000.csv"):
             assert (out_dir / name).is_file(), name
@@ -410,6 +427,15 @@ class TestRun:
         assert len(scores) == 1
         assert (f"note: all 5 ratios tie at accuracy {scores.pop()}, so the pick is the "
                 "smallest ratio, the edge of the grid") in stdout.splitlines()
+
+    def test_notes_a_fusion_the_tune_does_not_score(self, cli_ws, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fusion": "max", "epochs": 1}))
+        rc = main(["run", str(cli_ws["manifest"]), "--out-dir", str(tmp_path / "out"),
+                   "--config", str(cfg)])
+        assert rc == 0
+        assert ("note: the tune scores each ratio by mean fusion; the config's fusion is "
+                "'max', so the pick is not tuned for it") in capsys.readouterr().out.splitlines()
 
     def test_matches_extract_then_train(self, run_ws, cli_ws):
         out_dir, _ = run_ws

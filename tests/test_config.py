@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from kftser.config import PipelineConfig
 from kftser.errors import ConfigError
+from kftser.evaluation import FUSION_RULES
 from kftser.manifest import generate_synthetic_dataset, split_manifest
 from kftser.cli import main
 
@@ -26,9 +29,26 @@ def test_defaults_match_pipeline_conventions():
     assert cfg.kalman_q == 1e-3
     assert cfg.kalman_r == 0.1
     assert cfg.kalman_q / cfg.kalman_r == pytest.approx(0.01)
-    assert cfg.renormalize is True
     assert cfg.fusion == "mean"
     assert cfg.seed == 0
+
+
+def test_readme_lists_every_key_with_its_default():
+    """README's Configuration bullets name each key once, with its default
+    in parentheses; fusion's parentheses list FUSION_RULES, default first."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    bullets = section[section.index("\n- ") + 1:].split("\n\n", 1)[0]
+    listed = re.findall(r"`(\w+)`\s+\(([^)]*)\)", bullets)
+    names = [name for name, _ in listed]
+    fields = dataclasses.fields(PipelineConfig)
+    assert sorted(names) == sorted(f.name for f in fields)
+    documented = dict(listed)
+    options = [json.loads(x) for x in documented.pop("fusion").split(" | ")]
+    assert tuple(options) == FUSION_RULES and options[0] == PipelineConfig.fusion
+    for name, text in documented.items():
+        value, default = json.loads(text), getattr(PipelineConfig, name)
+        assert (type(value), value) == (type(default), default), name
 
 
 def test_unknown_keys_rejected():
@@ -36,10 +56,12 @@ def test_unknown_keys_rejected():
         PipelineConfig.from_dict({"learning_rte": 0.1})
 
 
-@pytest.mark.parametrize("raw", [{"n_mfcc": 13}, {"shuffle": True}])
+@pytest.mark.parametrize("raw", [{"n_mfcc": 13}, {"shuffle": True}, {"renormalize": True},
+                                 {"renormalize": False}])
 def test_deleted_keys_rejected_as_unknown(raw):
-    """n_mfcc (fixed by features.N_MFCC) and shuffle (always on) are no longer
-    keys, so a file an older save wrote with them is a config error."""
+    """n_mfcc (fixed by features.N_MFCC), shuffle and renormalize (always on)
+    are no longer keys, so a file an older save wrote with them is a config
+    error."""
     with pytest.raises(ConfigError, match=f"unknown config keys: {next(iter(raw))}$"):
         PipelineConfig.from_dict(raw)
 
@@ -52,6 +74,8 @@ def test_smallest_n_mels_and_frame_length_accepted():
 @pytest.mark.parametrize("raw, key", [
     ({"n_mfcc": 13}, "n_mfcc"),
     ({"shuffle": True}, "shuffle"),
+    ({"renormalize": True}, "unknown config keys: renormalize"),
+    ({"renormalize": False}, "unknown config keys: renormalize"),
     ({"n_mels": 12}, "n_mels"),
     ({"frame_length": 1, "hop_length": 1}, "frame_length"),
 ])
@@ -142,7 +166,7 @@ def test_bad_values_rejected_at_load(tmp_path, capsys, raw, message):
 
 
 def test_field_types_checked():
-    for raw in ({"seed": 1.0}, {"renormalize": 1}, {"epochs": True}, {"kalman_q": "0.1"},
+    for raw in ({"seed": 1.0}, {"kalman_r": False}, {"epochs": True}, {"kalman_q": "0.1"},
                 {"fusion": None}):
         with pytest.raises(ConfigError, match=f"{next(iter(raw))} must be"):
             PipelineConfig.from_dict(raw)

@@ -257,6 +257,10 @@ class TestExtractFeatures:
             extract_features(AudioClip(np.ones(4096), 16000), FramingConfig(), fb)
         with pytest.raises(ValueError, match="n_fft"):
             extract_features(AudioClip(np.ones(4096), 22050), FramingConfig(1024, 256), fb)
+        # one-sample frames frame fine, but ZCR needs two samples per frame
+        tone = AudioClip(np.sin(np.arange(200) * 0.3), 22050)
+        with pytest.raises(ValueError, match="frame_length"):
+            extract_features(tone, FramingConfig(1, 1), build_mel_filterbank(n_fft=1))
 
     def test_feature_matrix_validates_width(self):
         with pytest.raises(ValueError):

@@ -52,11 +52,11 @@ class TestConfigAdapters:
         assert tcfg.seed == 4
 
     def test_kalman(self):
-        kcfg = kalman_config(PipelineConfig(kalman_q=0.02, kalman_r=0.5, renormalize=False))
+        kcfg = kalman_config(PipelineConfig(kalman_q=0.02, kalman_r=0.5))
         assert kcfg.dim == 4
         assert kcfg.q == 0.02
         assert kcfg.r == 0.5
-        assert not kcfg.renormalize
+        assert kcfg.renormalize
 
 
 class TestWavToFeatures:
