@@ -144,7 +144,7 @@ def cmd_trajectory(args) -> int:
     fm = pipeline.wav_to_features(args.audio, cfg, utterance_id=Path(args.audio).stem)
     posteriors = predict_frames(model, fm)
     st = filter_trajectory(posteriors, pipeline.kalman_config(cfg))
-    write_trajectory_csv(st, args.out, model.class_order)
+    write_trajectory_csv(posteriors, st.filtered, args.out, model.class_order)
     print(f"{st.n_steps} frames -> {args.out}")
     return 0
 
@@ -197,8 +197,9 @@ def cmd_run(args) -> int:
     kcfg = replace(kcfg, q=tuned.best_q)
     mats, labels = pipeline.test_set(manifest, features_dir)
     _evaluate(model, kcfg, mats, labels, cfg.fusion, out_dir)
-    st = filter_trajectory(predict_frames(model, mats[0]), kcfg)
-    write_trajectory_csv(st, out_dir / "trajectory_000.csv", model.class_order)
+    posteriors = predict_frames(model, mats[0])
+    write_trajectory_csv(posteriors, filter_trajectory(posteriors, kcfg).filtered,
+                         out_dir / "trajectory_000.csv", model.class_order)
     print(f"first test trajectory: {out_dir / 'trajectory_000.csv'}")
     return 0
 

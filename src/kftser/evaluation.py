@@ -5,14 +5,13 @@ exercise the filtering stage without any audio.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .kalman import KalmanConfig, filter_batch
-from .manifest import CLASS_NAMES, write_json
+from .manifest import CLASS_NAMES, write_csv, write_json
 from .mlp import MlpModel, predict_frames
 
 FUSION_RULES = ("mean", "max", "final")
@@ -69,11 +68,8 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
     def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["class"] + list(self.class_names))
-            for name, row in zip(self.class_names, self.counts):
-                writer.writerow([name] + [int(c) for c in row])
+        write_csv(path, ["class", *self.class_names],
+                  ([name, *row.tolist()] for name, row in zip(self.class_names, self.counts)))
 
 
 def confusion_matrix(true_labels, predicted_labels,

@@ -21,9 +21,9 @@ rides on top; it filters every candidate q in the same pass.
 Every trajectory is filtered on Python floats, by a loop that _row_loops
 generates once per row width and unrolls over the row's elements, so a
 step runs no inner loop and builds no list; the smoother runs the same way.
-Where the projection sums a row, the loop adds the elements in the order
-numpy's add.reduce uses (pairwise_sum), so its bits equal a numpy row
-loop's at every width (test_kalman.py's
+Where the projection sums a row, a row of under 8 is added left to right
+from 0.0, as numpy's add.reduce adds it, and a wider one goes to add.reduce
+itself, so the bits equal a numpy row loop's at every width (test_kalman.py's
 TestFilterBatch::test_matches_per_trajectory_filtering). The first use of
 a width pays about 1 ms to generate the loops.
 
@@ -39,7 +39,6 @@ evaluation.fuse_utterance's mean rule.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -48,6 +47,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+
+from .manifest import write_csv
 
 
 @dataclass(frozen=True)
@@ -170,24 +171,16 @@ def smooth_rows(values, gains):
 
 
 def _row_sum(terms: list[str]) -> str:
-    """Source that adds terms in the order of numpy's pairwise_sum.
+    """Source that adds terms as numpy's add.reduce adds a float64 row.
 
-    That is how add.reduce sums a float64 row: below 8 terms left to right
-    from 0.0; up to 128, eight strided partial sums added as a tree, then the
-    remaining terms one by one; above 128, the two halves, the first a
-    multiple of 8 long, each summed the same way. Not the built-in sum(),
-    which is compensated from Python 3.12 on and would change the bits.
+    Below 8 terms numpy adds left to right from 0.0, and so does the source;
+    from 8 terms on the source hands the row to add.reduce itself. Not the
+    built-in sum(), which is compensated from Python 3.12 on and would change
+    the bits.
     """
-    n = len(terms)
-    if n < 8:
+    if len(terms) < 8:
         return " + ".join(["0.0", *terms])
-    if n <= 128:
-        body = n - n % 8
-        r = ["(" + " + ".join(terms[j:body:8]) + ")" for j in range(8)]
-        tree = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
-        return " + ".join([f"({tree})", *terms[body:]])
-    half = n // 2 - n // 2 % 8
-    return f"({_row_sum(terms[:half])}) + ({_row_sum(terms[half:])})"
+    return f"float(add_reduce(array(({', '.join(terms)},))))"
 
 
 @functools.lru_cache(maxsize=8)
@@ -197,7 +190,8 @@ def _row_loops(dim: int):
     _ROW_LOOPS is written for one element: each run of lines that names {i}
     is repeated for i = 0..dim-1, so a step holds the row in dim locals, reads
     the input row as dim items of one iterator over the flat input values and
-    runs no inner loop. Only names built from range(dim) enter the source.
+    runs no inner loop. Only _row_sum's fixed names and names built from
+    range(dim) enter the source.
     Built once per width, in about 1 ms, and shared.
     """
     idx = range(dim)
@@ -214,7 +208,7 @@ def _row_loops(dim: int):
             lines += (line.format(i=i) for i in idx for line in run)
         else:
             lines += (line.format(**whole_row) for line in run)
-    namespace = {}
+    namespace = {"add_reduce": np.add.reduce, "array": np.array}
     exec(compile("\n".join(lines), f"<kftser.kalman rows, dim={dim}>", "exec"), namespace)
     return namespace["filter_rows"], namespace["smooth_rows"]
 
@@ -283,7 +277,6 @@ class SmoothedTrajectory:
     fixed-interval smoother can run from this object alone.
     """
 
-    raw: np.ndarray
     filtered: np.ndarray
     predicted_var: np.ndarray
     filtered_var: np.ndarray
@@ -299,7 +292,7 @@ def filter_trajectory(measurements: np.ndarray, cfg: KalmanConfig) -> SmoothedTr
     Causal: row t of the output depends only on measurements 0..t. Runs
     _row_loops' filter loop on Python floats, where numpy's per-call
     overhead would outweigh a step's few float operations: x + k*(z - x),
-    clamp to [0, 1], the row sum in numpy's pairwise order, divide; a row
+    clamp to [0, 1], the row sum as numpy's add.reduce makes it, divide; a row
     whose clamped sum is 0 becomes the uniform row. The rows go in and come
     out as one flat list each: numpy converts a flat list both ways far
     faster than a list of rows.
@@ -308,8 +301,7 @@ def filter_trajectory(measurements: np.ndarray, cfg: KalmanConfig) -> SmoothedTr
     t_steps = z.shape[0]
     p_pred, gains, p_filt = _schedule(cfg.q, cfg.r, t_steps)
     flat = _row_loops(cfg.dim)[0](z.ravel().tolist(), gains, cfg.renormalize, 1.0 / cfg.dim)
-    return SmoothedTrajectory(raw=z.copy(),
-                              filtered=np.fromiter(flat, np.float64, len(flat)).reshape(z.shape),
+    return SmoothedTrajectory(filtered=np.fromiter(flat, np.float64, len(flat)).reshape(z.shape),
                               predicted_var=np.fromiter(p_pred, np.float64, t_steps),
                               filtered_var=np.fromiter(p_filt, np.float64, t_steps))
 
@@ -335,14 +327,12 @@ def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
     bits, at a fraction of its per-call cost. The rows go in and come out last
     first, each as one flat list, and one copy puts them back in time order.
 
-    Raises ValueError unless filtered is (T, cfg.dim) with T >= 1, raw has
-    filtered's shape and both variances are (T,).
+    Raises ValueError unless filtered is (T, cfg.dim) with T >= 1 and both
+    variances are (T,).
     """
     shape = st.filtered.shape
     if len(shape) != 2 or shape[0] < 1 or shape[1] != cfg.dim:
         raise ValueError(f"filtered must be T x {cfg.dim} with T >= 1, got {shape}")
-    if st.raw.shape != shape:
-        raise ValueError(f"raw must have filtered's shape {shape}, got {st.raw.shape}")
     for name in ("predicted_var", "filtered_var"):
         if getattr(st, name).shape != shape[:1]:
             raise ValueError(f"{name} must have shape {shape[:1]}, "
@@ -353,17 +343,14 @@ def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
     return means[::-1].copy()
 
 
-def write_trajectory_csv(st: SmoothedTrajectory, path: str | Path, class_names) -> None:
+def write_trajectory_csv(raw: np.ndarray, filtered: np.ndarray, path: str | Path,
+                         class_names) -> None:
     """Plot-ready CSV: frame_index, raw posteriors (z_*), filtered states (x_*)."""
-    if len(class_names) != st.raw.shape[1] or len(class_names) != st.filtered.shape[1]:
-        raise ValueError("class_names length must match the trajectory width")
-    header = (["frame_index"] + [f"z_{c}" for c in class_names]
-              + [f"x_{c}" for c in class_names])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(st.n_steps):
-            writer.writerow([t] + list(st.raw[t]) + list(st.filtered[t]))
+    if not raw.shape == filtered.shape == (len(filtered), len(class_names)):
+        raise ValueError(f"raw {raw.shape} and filtered {filtered.shape} must both be "
+                         f"T x {len(class_names)}, one column per class name")
+    header = ["frame_index", *(f"z_{c}" for c in class_names), *(f"x_{c}" for c in class_names)]
+    write_csv(path, header, ([t, *z, *x] for t, (z, x) in enumerate(zip(raw, filtered))))
 
 
 @dataclass

@@ -7,10 +7,12 @@ angry=0, calm=1, happy=2, sad=3.
 
 from __future__ import annotations
 
+import csv
 import enum
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -27,6 +29,14 @@ def write_json(path: str | Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write the header row, then each of rows, with the csv module's defaults."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 class Emotion(enum.IntEnum):
@@ -96,12 +106,13 @@ class Manifest:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Manifest":
+        """to_dict's inverse; load checks the split indices."""
         records = [
             UtteranceRecord(
-                file_path=r["file_path"],
+                file_path=_string(r, "file_path"),
                 emotion=Emotion.from_label(r["emotion"]),
                 actor_id=int(r["actor_id"]),
-                intensity=r["intensity"],
+                intensity=_string(r, "intensity"),
                 statement=int(r["statement"]),
                 repetition=int(r["repetition"]),
             )
@@ -110,8 +121,8 @@ class Manifest:
         return cls(
             records=records,
             split_seed=int(raw["split_seed"]),
-            train_indices=[int(i) for i in raw["train_indices"]],
-            test_indices=[int(i) for i in raw["test_indices"]],
+            train_indices=list(raw["train_indices"]),
+            test_indices=list(raw["test_indices"]),
         )
 
     def save(self, path: str | Path) -> None:
@@ -126,11 +137,25 @@ class Manifest:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise KftserError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from exc
         n = len(manifest.records)
-        bad = [i for i in manifest.train_indices + manifest.test_indices if not 0 <= i < n]
+        indices = manifest.train_indices + manifest.test_indices
+        # type, not isinstance: true is a bool, and neither it nor 1.7 is an index
+        bad, problem = [i for i in indices if type(i) is not int], "are not integers"
+        if not bad:
+            bad, problem = [i for i in indices if not 0 <= i < n], f"outside the {n} records"
+        if not bad:
+            # a record in both splits would train on a test utterance
+            bad = sorted(i for i, count in Counter(indices).items() if count > 1)
+            problem = "listed more than once across train_indices and test_indices"
         if bad:
-            raise KftserError(f"{path}: malformed manifest (split indices {bad} outside "
-                              f"the {n} records)")
+            raise KftserError(f"{path}: malformed manifest (split indices {bad} {problem})")
         return manifest
+
+
+def _string(record: dict, key: str) -> str:
+    value = record[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def parse_ravdess_filename(name: str) -> UtteranceRecord | None:
@@ -222,13 +247,14 @@ def split_manifest(manifest: Manifest, test_fraction: float, seed: int) -> Manif
 
     Per-class test counts are round-half-up of fraction * class_count;
     if their sum misses the global round-half-up target, classes are
-    adjusted by one each in descending-size order until it is hit.
+    adjusted by one each in descending-size order until it is hit. A class
+    with no records raises EmptyDatasetError.
     """
     check_split(test_fraction, seed)
     counts = manifest.class_counts()
     if (counts == 0).any():
         missing = [CLASS_NAMES[i] for i in np.flatnonzero(counts == 0)]
-        raise ValueError(f"cannot split: no records for class(es) {', '.join(missing)}")
+        raise EmptyDatasetError(f"cannot split: no records for class(es) {', '.join(missing)}")
 
     n = len(manifest.records)
     target = _round_half_up(test_fraction * n)

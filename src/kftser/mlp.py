@@ -6,7 +6,6 @@ one flat vector in checkpoint order (all weights, then all biases).
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import math
 import struct
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import CheckpointError
 from .features import N_FEATURES, FeatureMatrix, ScalerStats, apply_scaler
-from .manifest import CLASS_NAMES
+from .manifest import CLASS_NAMES, write_csv
 
 DEFAULT_LAYER_DIMS = (N_FEATURES, 256, 128, 4)
 
@@ -357,11 +356,9 @@ def predict_frames(model: MlpModel, features) -> np.ndarray:
 
 
 def save_trace_csv(trace: TrainTrace, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "frame_accuracy"])
-        for i, (loss, acc) in enumerate(zip(trace.losses, trace.accuracies)):
-            writer.writerow([i, repr(loss), repr(acc)])
+    write_csv(path, ["epoch", "loss", "frame_accuracy"],
+              ([i, repr(loss), repr(acc)]
+               for i, (loss, acc) in enumerate(zip(trace.losses, trace.accuracies))))
 
 
 def save_checkpoint(model: MlpModel, path: str | Path) -> None:

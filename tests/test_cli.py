@@ -47,6 +47,11 @@ def cli_ws(tmp_path_factory):
     return paths
 
 
+def _with_record(raw: dict, **fields) -> str:
+    """The manifest as JSON, with fields replaced in its first record."""
+    return json.dumps({**raw, "records": [{**raw["records"][0], **fields}, *raw["records"][1:]]})
+
+
 class TestSynthAndManifest:
     def test_synth_reports_files_and_split(self, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -83,6 +88,19 @@ class TestSynthAndManifest:
         rc = main(["manifest", str(tmp_path / "nope"), "--out", str(tmp_path / "m.json")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_manifest_missing_class_is_a_runtime_error(self, cli_ws, tmp_path, capsys):
+        """A tree without some class is a data failure (exit 1), and no
+        manifest is written."""
+        angry = tmp_path / "angry"
+        angry.mkdir()
+        for wav in cli_ws["audio"].glob("03-01-05-*.wav"):  # emotion code 05 is angry
+            shutil.copy(wav, angry)
+        out = tmp_path / "m.json"
+        assert main(["manifest", str(angry), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot split: no records for class(es) calm, happy, sad\n")
+        assert not out.exists()
 
     def test_bad_fraction_is_an_argument_error(self, cli_ws, tmp_path, capsys):
         rc = main(["manifest", str(cli_ws["audio"]), "--out", str(tmp_path / "m.json"),
@@ -126,21 +144,39 @@ class TestExtract:
         assert "gone.wav" in capsys.readouterr().err
         assert list(out_dir.glob("*.feat")) == []
 
-    @pytest.mark.parametrize("mangle", [
-        lambda raw: '{"records": []}',
-        lambda raw: json.dumps({**raw, "records": [{**raw["records"][0], "emotion": "bored"}]
-                                + raw["records"][1:]}),
-        lambda raw: "[]",
-        lambda raw: '{"records": [',
-        lambda raw: json.dumps({**raw, "test_indices": [len(raw["records"])]}),
-    ], ids=["no-split-keys", "unknown-emotion", "json-list", "bad-json", "index-out-of-range"])
-    def test_malformed_manifest_is_a_runtime_error(self, cli_ws, tmp_path, capsys, mangle):
+    @pytest.mark.parametrize("mangle, detail", [
+        (lambda raw: '{"records": []}', "KeyError"),
+        (lambda raw: json.dumps({**raw, "records": [{**raw["records"][0], "emotion": "bored"}]
+                                 + raw["records"][1:]}), "KeyError: 'BORED'"),
+        (lambda raw: "[]", "TypeError"),
+        (lambda raw: '{"records": [', "JSONDecodeError"),
+        (lambda raw: json.dumps({**raw, "test_indices": [len(raw["records"])]}),
+         "split indices [16] outside the 16 records"),
+        (lambda raw: _with_record(raw, file_path=5), "file_path must be a string, got 5"),
+        (lambda raw: _with_record(raw, file_path=None), "file_path must be a string, got None"),
+        (lambda raw: _with_record(raw, intensity=2), "intensity must be a string, got 2"),
+        (lambda raw: json.dumps({**raw, "test_indices": raw["test_indices"] + [1]}),
+         "split indices [1] listed more than once"),
+        (lambda raw: json.dumps({**raw, "train_indices": raw["train_indices"] + [1]}),
+         "split indices [1] listed more than once"),
+        (lambda raw: json.dumps({**raw, "train_indices": [1.7] + raw["train_indices"][1:]}),
+         "split indices [1.7] are not integers"),
+        (lambda raw: json.dumps({**raw, "train_indices": [True] + raw["train_indices"][1:]}),
+         "split indices [True] are not integers"),
+    ], ids=["no-split-keys", "unknown-emotion", "json-list", "bad-json", "index-out-of-range",
+            "file_path-int", "file_path-null", "intensity-int", "index-in-both-splits",
+            "index-repeated", "index-float", "index-bool"])
+    def test_malformed_manifest_is_a_runtime_error(self, cli_ws, tmp_path, capsys, mangle,
+                                                   detail):
+        raw = json.loads(cli_ws["manifest"].read_text())
+        assert 1 in raw["train_indices"]  # the rows that repeat index 1 rely on it
         bad = tmp_path / "bad.json"
-        bad.write_text(mangle(json.loads(cli_ws["manifest"].read_text())))
+        bad.write_text(mangle(raw))
         rc = main(["extract", str(bad), "--out-dir", str(tmp_path / "feats")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: malformed manifest")
+        assert detail in err
         assert "Traceback" not in err
         assert not (tmp_path / "feats").exists()
 

@@ -512,13 +512,11 @@ class TestRtsSmoother:
     @pytest.mark.parametrize("cut, match", [
         (dict(predicted_var=slice(5), filtered_var=slice(5)), "predicted_var must have shape"),
         (dict(filtered_var=slice(5)), "filtered_var must have shape"),
-        (dict(filtered=(slice(None), slice(3)), raw=(slice(None), slice(3))),
+        (dict(filtered=(slice(None), slice(3))),
          r"filtered must be T x 4 with T >= 1, got \(10, 3\)"),
-        (dict(raw=slice(5)), "raw must have filtered's shape"),
-        (dict(filtered=slice(0), raw=slice(0), predicted_var=slice(0), filtered_var=slice(0)),
+        (dict(filtered=slice(0), predicted_var=slice(0), filtered_var=slice(0)),
          r"filtered must be T x 4 with T >= 1, got \(0, 4\)"),
-    ], ids=["variances-5-of-10", "filtered_var-5-of-10", "3-wide-under-dim-4",
-            "raw-5-of-10", "empty"])
+    ], ids=["variances-5-of-10", "filtered_var-5-of-10", "3-wide-under-dim-4", "empty"])
     def test_inconsistent_trajectory_rejected(self, rng, cut, match):
         """A trajectory whose arrays disagree with each other or with cfg.dim
         is an error, not a smoothed result of the wrong shape."""
@@ -603,16 +601,19 @@ class TestConfigAndCsv:
         np.testing.assert_array_equal(cfg.R, 2.0 * np.eye(3))
 
     def test_trajectory_csv_layout(self, tmp_path, rng):
-        traj = filter_trajectory(rng.dirichlet(np.ones(4), size=6), KalmanConfig())
+        z = rng.dirichlet(np.ones(4), size=6)
+        filtered = filter_trajectory(z, KalmanConfig()).filtered
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path, CLASS_NAMES)
+        write_trajectory_csv(z, filtered, path, CLASS_NAMES)
         lines = path.read_text().splitlines()
         assert lines[0] == ("frame_index,z_angry,z_calm,z_happy,z_sad,"
                             "x_angry,x_calm,x_happy,x_sad")
         assert len(lines) == 7
         assert lines[1].split(",")[0] == "0"
         with pytest.raises(ValueError):
-            write_trajectory_csv(traj, path, ("a", "b"))
+            write_trajectory_csv(z, filtered, path, ("a", "b"))
+        with pytest.raises(ValueError):
+            write_trajectory_csv(z[:5], filtered, path, CLASS_NAMES)
 
 
 PER_TRAJECTORY_GOLDEN = [
@@ -643,7 +644,7 @@ def test_per_trajectory_outputs_match_golden_bytes(tmp_path, t_steps, renorm, wa
     cfg = KalmanConfig(dim=4, renormalize=renorm)
     st = filter_trajectory(z, cfg)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(st, path, CLASS_NAMES)
+    write_trajectory_csv(z, st.filtered, path, CLASS_NAMES)
     got = [hashlib.sha256(b).hexdigest()
            for b in (st.filtered.tobytes(), rts_smooth(st, cfg).tobytes(), path.read_bytes())]
     assert got == want

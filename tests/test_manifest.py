@@ -156,7 +156,7 @@ def test_split_rejects_bad_fraction_and_missing_class():
         with pytest.raises(ValueError):
             split_manifest(m, f, 0)
     empty_class = Manifest(records=_records([2, 0, 2, 2]))
-    with pytest.raises(ValueError, match="calm"):
+    with pytest.raises(EmptyDatasetError, match="calm"):
         split_manifest(empty_class, 0.5, 0)
 
 
