@@ -20,9 +20,11 @@ FUSION_RULES = ("mean", "max", "final")
 def fuse_utterance(smoothed: np.ndarray, rule: str = "mean"):
     """Pool a (T, n_classes) posterior trajectory into one decision.
 
-    Returns (class index, fused vector). mean averages rows, max takes the
-    per-class maximum over time, final takes the last row. Argmax ties go
-    to the lowest class index.
+    Returns (class index, fused vector). mean averages rows as
+    np.add.reduce over time divided by T (ndarray.mean's two operations,
+    without its Python wrapper, so its bits), max takes the per-class
+    maximum over time, final takes the last row. Argmax ties go to the
+    lowest class index.
 
     kalman.tune_qr_ratio applies the mean rule without keeping the rows: a
     running row sum from 0.0, divided by T, then argmax (in kalman._tune_means).
@@ -34,7 +36,7 @@ def fuse_utterance(smoothed: np.ndarray, rule: str = "mean"):
     if smoothed.size == 0:
         raise ValueError("cannot fuse an empty trajectory")
     if rule == "mean":
-        fused = smoothed.mean(axis=0)
+        fused = np.add.reduce(smoothed, axis=0) / len(smoothed)
     elif rule == "max":
         fused = smoothed.max(axis=0)
     elif rule == "final":

@@ -14,7 +14,11 @@ scalars: with p the filtered variance,
 
 The gain never depends on the measurements, so one schedule serves every
 trajectory and class, and the filter acts as a tuned temporal low-pass over
-the classifier output. The Rauch-Tung-Striebel smoother (AIAA J., 1965)
+the classifier output. The schedule is computed once per (q, r), cached and
+sliced per trajectory: the recursion never reads its length, so a shorter
+schedule is a bit-exact prefix of a longer one. The cache keeps, per key,
+3 x 8 bytes x the bucket length (the next power of two of at least 64
+steps), for up to 32 keys. The Rauch-Tung-Striebel smoother (AIAA J., 1965)
 reduces the same way, to the scalar gain p_t / p_{t+1}^p. A q/r grid search
 rides on top; it filters every candidate q in the same pass.
 
@@ -123,18 +127,39 @@ def _as_measurements(m, cfg: KalmanConfig) -> np.ndarray:
     return z
 
 
-def _schedule(q: float, r: float, t_max: int):
-    """Predicted variance, gain and filtered variance for steps 0..t_max-1."""
+_SCHEDULE_MIN_STEPS = 64
+_SCHEDULE_KEYS = 32
+
+
+@functools.lru_cache(maxsize=_SCHEDULE_KEYS)
+def _cached_schedule(q: float, r: float, n_steps: int):
+    """Read-only predicted variance, gain and filtered variance for n_steps
+    steps; the only code that steps the variance recursion."""
     p_pred, gain, p_filt = [], [], []
     p = 1.0
-    for _ in range(t_max):
+    for _ in range(n_steps):
         pp = p + q
         k = pp / (pp + r)
         p = (1.0 - k) * pp
         p_pred.append(pp)
         gain.append(k)
         p_filt.append(p)
-    return p_pred, gain, p_filt
+    arrays = tuple(np.array(values, dtype=np.float64) for values in (p_pred, gain, p_filt))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _schedule(q: float, r: float, t_steps: int):
+    """Predicted variance, gain and filtered variance for steps 0..t_steps-1.
+
+    Read-only slices of _cached_schedule's arrays for (q, r) at the next
+    power of two of at least _SCHEDULE_MIN_STEPS steps, so a test set of many
+    lengths under one q computes a handful of schedules, each once. Each key
+    keeps 3 x 8 bytes x its bucket length, for up to _SCHEDULE_KEYS keys.
+    """
+    n_steps = max(_SCHEDULE_MIN_STEPS, 1 << (t_steps - 1).bit_length())
+    return tuple(a[:t_steps] for a in _cached_schedule(float(q), float(r), n_steps))
 
 
 _ROW_LOOPS = """\
@@ -228,13 +253,14 @@ def _tune_means(arrays: list[np.ndarray], cfg: KalmanConfig, qs: list[float]) ->
 
     No row is kept: each (q, trajectory) keeps a running sum of its rows,
     and when its last row is written the sum divided by its length becomes
-    its mean row. The sum adds row after row to 0.0, as numpy's mean over
-    axis 0 of a C-contiguous (T, dim) array does for dim >= 2.
+    its mean row. The sum adds row after row to 0.0, as np.add.reduce over
+    axis 0 of a C-contiguous (T, dim) array does for dim >= 2, which is
+    evaluation.fuse_utterance's mean rule.
     """
     order = sorted(range(len(arrays)), key=lambda i: -arrays[i].shape[0])
     lengths = [arrays[i].shape[0] for i in order]
     t_max, batch, dim, n_q = lengths[0], len(arrays), cfg.dim, len(qs)
-    gains = np.array([_schedule(q, cfg.r, t_max)[1] for q in qs]).T.reshape(t_max, n_q, 1, 1)
+    gains = np.stack([_schedule(q, cfg.r, t_max)[1] for q in qs], axis=1).reshape(t_max, n_q, 1, 1)
     x = np.full((n_q, batch, dim), 1.0 / dim)
     total = np.zeros_like(x)
     fused = np.empty_like(x)
@@ -257,7 +283,8 @@ def _tune_means(arrays: list[np.ndarray], cfg: KalmanConfig, qs: list[float]) ->
                 np.maximum(x, 0.0, out=clipped)
                 np.minimum(clipped, 1.0, out=clipped)
                 np.add.reduce(clipped, axis=-1, keepdims=True, out=sums)
-                if sums.all():
+                # not sums.all(): its Python wrapper costs more than the test
+                if np.count_nonzero(sums) == sums.size:
                     np.divide(clipped, sums, out=x)
                 else:
                     x[...] = _renorm_rows(x, dim)
@@ -300,10 +327,10 @@ def filter_trajectory(measurements: np.ndarray, cfg: KalmanConfig) -> SmoothedTr
     z = _as_measurements(measurements, cfg)
     t_steps = z.shape[0]
     p_pred, gains, p_filt = _schedule(cfg.q, cfg.r, t_steps)
-    flat = _row_loops(cfg.dim)[0](z.ravel().tolist(), gains, cfg.renormalize, 1.0 / cfg.dim)
+    flat = _row_loops(cfg.dim)[0](z.ravel().tolist(), gains.tolist(), cfg.renormalize,
+                                  1.0 / cfg.dim)
     return SmoothedTrajectory(filtered=np.fromiter(flat, np.float64, len(flat)).reshape(z.shape),
-                              predicted_var=np.fromiter(p_pred, np.float64, t_steps),
-                              filtered_var=np.fromiter(p_filt, np.float64, t_steps))
+                              predicted_var=p_pred.copy(), filtered_var=p_filt.copy())
 
 
 def filter_batch(measurement_list, cfg: KalmanConfig) -> list[np.ndarray]:

@@ -109,18 +109,18 @@ class Manifest:
         """to_dict's inverse; load checks the split indices."""
         records = [
             UtteranceRecord(
-                file_path=_string(r, "file_path"),
+                file_path=_field(r, "file_path", str),
                 emotion=Emotion.from_label(r["emotion"]),
-                actor_id=int(r["actor_id"]),
-                intensity=_string(r, "intensity"),
-                statement=int(r["statement"]),
-                repetition=int(r["repetition"]),
+                actor_id=_field(r, "actor_id", int),
+                intensity=_field(r, "intensity", str),
+                statement=_field(r, "statement", int),
+                repetition=_field(r, "repetition", int),
             )
             for r in raw["records"]
         ]
         return cls(
             records=records,
-            split_seed=int(raw["split_seed"]),
+            split_seed=_field(raw, "split_seed", int),
             train_indices=list(raw["train_indices"]),
             test_indices=list(raw["test_indices"]),
         )
@@ -151,10 +151,15 @@ class Manifest:
         return manifest
 
 
-def _string(record: dict, key: str) -> str:
+def _field(record: dict, key: str, kind: type):
+    """record[key]; TypeError unless its type is exactly kind (str or int).
+
+    type, not isinstance, as for the split indices: true is a bool.
+    """
     value = record[key]
-    if not isinstance(value, str):
-        raise TypeError(f"{key} must be a string, got {value!r}")
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be {'a string' if kind is str else 'an integer'}, "
+                        f"got {value!r}")
     return value
 
 

@@ -163,9 +163,15 @@ class TestExtract:
          "split indices [1.7] are not integers"),
         (lambda raw: json.dumps({**raw, "train_indices": [True] + raw["train_indices"][1:]}),
          "split indices [True] are not integers"),
+        (lambda raw: _with_record(raw, actor_id=1.7), "actor_id must be an integer, got 1.7"),
+        (lambda raw: _with_record(raw, statement=True), "statement must be an integer, got True"),
+        (lambda raw: _with_record(raw, repetition="3"), "repetition must be an integer, got '3'"),
+        (lambda raw: json.dumps({**raw, "split_seed": 2.5}),
+         "split_seed must be an integer, got 2.5"),
     ], ids=["no-split-keys", "unknown-emotion", "json-list", "bad-json", "index-out-of-range",
             "file_path-int", "file_path-null", "intensity-int", "index-in-both-splits",
-            "index-repeated", "index-float", "index-bool"])
+            "index-repeated", "index-float", "index-bool", "actor_id-float", "statement-bool",
+            "repetition-str", "split_seed-float"])
     def test_malformed_manifest_is_a_runtime_error(self, cli_ws, tmp_path, capsys, mangle,
                                                    detail):
         raw = json.loads(cli_ws["manifest"].read_text())

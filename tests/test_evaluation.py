@@ -48,6 +48,17 @@ class TestFusion:
         cls, fused = fuse_utterance(np.array([0.2, 0.5, 0.2, 0.1]))
         assert cls == 1
 
+    @pytest.mark.parametrize("dim", [1, 4, 9])
+    @pytest.mark.parametrize("t_steps", [1, 2, 7, 8, 9, 17, 453])
+    def test_rules_have_the_bits_of_numpy_reductions(self, t_steps, dim):
+        """The mean rule is add.reduce over time divided by T; its bits must be
+        ndarray.mean's, on C-ordered rows and on a reversed view alike."""
+        rows = np.random.default_rng(100 * t_steps + dim).uniform(size=(t_steps, dim))
+        for x in (rows, rows[::-1]):
+            assert fuse_utterance(x)[1].tobytes() == x.mean(axis=0).tobytes()
+            assert fuse_utterance(x, rule="max")[1].tobytes() == x.max(axis=0).tobytes()
+            assert fuse_utterance(x, rule="final")[1].tobytes() == x[-1].tobytes()
+
     def test_errors(self):
         with pytest.raises(ValueError, match="empty"):
             fuse_utterance(np.empty((0, 4)))

@@ -185,6 +185,86 @@ class TestGainSchedule:
         assert all(b < a for a, b in zip(gain, gain[1:]))
 
 
+def _uncached_schedule(q, r, t_steps):
+    """The variance recursion as one plain loop on Python floats: the
+    reference for kalman's cached, sliced schedule."""
+    p_pred, gain, p_filt = [], [], []
+    p = 1.0
+    for _ in range(t_steps):
+        pp = p + q
+        k = pp / (pp + r)
+        p = (1.0 - k) * pp
+        p_pred.append(pp)
+        gain.append(k)
+        p_filt.append(p)
+    return p_pred, gain, p_filt
+
+
+def _posterior_filtering_batch():
+    """The posterior_filtering benchmark's shape: 8 noisy trajectories each
+    of 44, 88, 151, 302 and 453 frames, shuffled."""
+    trajs, labels = [], []
+    for seed, t in enumerate((44, 88, 151, 302, 453)):
+        z, y = synth_noisy_trajectories(8, t, flip_prob=0.3, seed=seed)
+        trajs += z
+        labels += list(y)
+    order = np.random.default_rng(7).permutation(len(trajs))
+    return [trajs[i] for i in order], [labels[i] for i in order]
+
+
+class TestScheduleCache:
+    def test_slices_equal_an_uncached_loop(self):
+        kalman._cached_schedule.cache_clear()
+        # q = 0 and r = 0, then an int and an np.float64 equal to floats cached before
+        pairs = [(1e-3, 0.1), (0.0, 0.1), (1e-3, 0.0), (1.0, 0.1), (1, 0.1),
+                 (np.float64(1e-3), 0.1), (1e-3, np.float64(0.1))]
+        for q, r in pairs:
+            for t_steps in (1, 2, 63, 64, 65, 128, 129, 453, 1000):
+                want = _uncached_schedule(q, r, t_steps)
+                got = kalman._schedule(q, r, t_steps)
+                for w, g in zip(want, got):
+                    assert g.dtype == np.float64 and g.shape == (t_steps,)
+                    assert g.tobytes() == np.array(w, dtype=np.float64).tobytes()
+        # 4 distinct float pairs x buckets 64 to 1024; the int and np.float64
+        # pairs hit the keys of the floats before them
+        assert kalman._cached_schedule.cache_info().misses == 4 * 5
+
+    def test_cached_arrays_are_read_only(self):
+        for a in (*kalman._schedule(1e-3, 0.1, 70), *kalman._cached_schedule(1e-3, 0.1, 128)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_trajectory_variances_own_their_data(self, rng):
+        cfg = KalmanConfig()
+        z = rng.dirichlet(np.ones(4), size=50)
+        first = filter_trajectory(z, cfg)
+        want = [first.predicted_var.tobytes(), first.filtered_var.tobytes()]
+        for var in (first.predicted_var, first.filtered_var):
+            assert var.flags.owndata and var.flags.writeable
+            var[:] = -1.0
+        again = filter_trajectory(z, cfg)
+        assert [again.predicted_var.tobytes(), again.filtered_var.tobytes()] == want
+
+    def test_one_miss_per_q_and_bucket(self):
+        """A tune-then-filter pass shaped like the posterior_filtering benchmark:
+        the default grid, then filter and smooth every trajectory under the
+        tuned q."""
+        trajs, labels = _posterior_filtering_batch()
+        cfg = KalmanConfig()
+        kalman._cached_schedule.cache_clear()
+        misses = []
+        for _ in range(2):
+            tuned = tune_qr_ratio(trajs, labels, cfg)
+            best = replace(cfg, q=tuned.best_q)
+            for z in trajs:
+                rts_smooth(filter_trajectory(z, best), best)
+            misses.append(kalman._cached_schedule.cache_info().misses)
+        keys = {(ratio * cfg.r, 512) for ratio in DEFAULT_RATIO_GRID}
+        keys |= {(best.q, bucket) for bucket in (64, 128, 256, 512)}
+        assert misses == [len(keys), len(keys)]
+
+
 def _numpy_rts_smooth(st):
     """rts_smooth as a numpy row loop: the reference for its float loop."""
     means = st.filtered.copy()
@@ -455,14 +535,7 @@ class TestZeroSumProjection:
     def test_tune_holds_no_padded_output(self):
         """40 trajectories of 44 to 453 frames through the 5-ratio grid: the old
         (T_max, n_q, B, dim) array of every filtered row alone took 2,899,200 bytes."""
-        trajs, labels = [], []
-        for seed, t in enumerate((44, 88, 151, 302, 453)):
-            z, y = synth_noisy_trajectories(8, t, flip_prob=0.3, seed=seed)
-            trajs += z
-            labels += list(y)
-        order = np.random.default_rng(7).permutation(len(trajs))
-        trajs = [trajs[i] for i in order]
-        labels = [labels[i] for i in order]
+        trajs, labels = _posterior_filtering_batch()
         tracemalloc.start()
         try:
             tune_qr_ratio(trajs, labels, KalmanConfig())
