@@ -18,6 +18,7 @@ from . import pipeline
 from .config import PipelineConfig
 from .errors import KftserError
 from .evaluation import evaluate_pipeline
+from .features import N_FEATURES
 from .kalman import (DEFAULT_RATIO_GRID, check_ratio_grid, check_tunable,
                      filter_trajectory, write_trajectory_csv)
 from .manifest import (CLASS_NAMES, Manifest, build_manifest, check_split,
@@ -52,6 +53,9 @@ def _checked_model(path):
             f"{path}: checkpoint class order {model.class_order} does not match "
             f"the pipeline order {CLASS_NAMES}"
         )
+    if model.layer_dims[0] != N_FEATURES:
+        raise KftserError(f"{path}: checkpoint input width {model.layer_dims[0]} does not "
+                          f"match the {N_FEATURES} features per frame")
     return model
 
 

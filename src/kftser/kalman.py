@@ -31,14 +31,28 @@ itself, so the bits equal a numpy row loop's at every width (test_kalman.py's
 TestFilterBatch::test_matches_per_trajectory_filtering). The first use of
 a width pays about 1 ms to generate the loops.
 
+The projection clamps each element to [0, 1], sums the row and divides by
+the sum. When the state a, the measurement b and the gain k all lie in
+[0, 1], the clamp cannot change a bit under round-to-nearest: for b < a,
+fl(a + fl(k fl(b - a))) lies in [0, a]; otherwise it is at most
+fl(a + fl(1 - a)), which is at most 1; a renormalised row v/s stays in
+[0, 1]; and no step makes -0.0, which the clamp would turn into 0.0. The
+state starts uniform and every gain lies in [0, 1], so the filter and the
+tune skip the clamp whenever every measurement lies in [0, 1], as every
+posterior does, and clamp otherwise. The choice reads the two reductions
+that also check the input is finite. The zero-sum fallback to the uniform
+row stays on both paths: a row of zeros is in range.
+
 Only the q/r tune runs on numpy arrays: every candidate q and every
 trajectory advance together, one time step per set of array calls. The
 batch is sorted by length, longest first, and shrinks as trajectories
 end, so no step is spent on padding; each stretch between two lengths
-works on contiguous copies of the still-active state. The tune keeps no
-filtered rows: each trajectory's mean row is summed as it goes and fused
-when its last row is written, by the same steps as
-evaluation.fuse_utterance's mean rule.
+works on contiguous copies of the still-active state. The state is held
+class-major, (n_q, dim, n), so the gain multiply runs on a contiguous
+(n_q, dim * n) view and, below 8 classes, the row sum is one add.reduce
+over the class axis. The tune keeps no filtered rows: each trajectory's
+mean row is summed as it goes and fused when its last row is written, by
+the same steps as evaluation.fuse_utterance's mean rule.
 """
 
 from __future__ import annotations
@@ -116,15 +130,22 @@ def _renorm_rows(x: np.ndarray, dim: int) -> np.ndarray:
     return np.where(s > 0.0, x / np.where(s > 0.0, s, 1.0), 1.0 / dim)
 
 
-def _as_measurements(m, cfg: KalmanConfig) -> np.ndarray:
+def _as_measurements(m, cfg: KalmanConfig) -> tuple[np.ndarray, bool]:
+    """The (T, cfg.dim) float64 measurements, and whether all lie in [0, 1].
+
+    ValueError if m is empty, misshapen or not finite: NaN and +-inf carry
+    through min and max, so the two reductions that test the range also
+    test finiteness.
+    """
     z = np.atleast_2d(np.asarray(m, dtype=np.float64))
     if z.size == 0:
         raise ValueError("cannot filter an empty trajectory")
     if z.ndim != 2 or z.shape[1] != cfg.dim:
         raise ValueError(f"measurements must be T x {cfg.dim}, got {z.shape}")
-    if not np.isfinite(z).all():
+    lo, hi = float(z.min()), float(z.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("measurements must be finite (found NaN or inf)")
-    return z
+    return z, 0.0 <= lo and hi <= 1.0
 
 
 _SCHEDULE_MIN_STEPS = 64
@@ -208,17 +229,25 @@ def _row_sum(terms: list[str]) -> str:
     return f"float(add_reduce(array(({', '.join(terms)},))))"
 
 
-@functools.lru_cache(maxsize=8)
-def _row_loops(dim: int):
+_CLAMP_LINE = "v{i} = 1.0 if v{i} > 1.0 else v{i} if v{i} > 0.0 else 0.0"
+
+
+@functools.lru_cache(maxsize=16)
+def _row_loops(dim: int, clamp: bool):
     """The float loops of the filter and the smoother for rows of width dim.
 
     _ROW_LOOPS is written for one element: each run of lines that names {i}
     is repeated for i = 0..dim-1, so a step holds the row in dim locals, reads
     the input row as dim items of one iterator over the flat input values and
     runs no inner loop. Only _row_sum's fixed names and names built from
-    range(dim) enter the source.
-    Built once per width, in about 1 ms, and shared.
+    range(dim) enter the source. Without clamp, the filter loop leaves out
+    _CLAMP_LINE, which cannot change a value when the state and the
+    measurements lie in [0, 1] (module docstring); the smoother is the same
+    either way.
+    Built once per width and clamp, in about 1 ms, and shared.
     """
+    template = [line for line in _ROW_LOOPS.splitlines()
+                if clamp or line.strip() != _CLAMP_LINE]
     idx = range(dim)
     whole_row = {"chain": " = ".join(f"a{i}" for i in idx),
                  "v_sum": _row_sum([f"v{i}" for i in idx]),
@@ -226,30 +255,39 @@ def _row_loops(dim: int):
                  "nexts": "next(it), " * dim,
                  **{p: ", ".join(f"{p}{i}" for i in idx) + "," for p in "abn"}}
     lines = []
-    for per_element, run in itertools.groupby(_ROW_LOOPS.splitlines(),
-                                              lambda line: "{i}" in line):
+    for per_element, run in itertools.groupby(template, lambda line: "{i}" in line):
         run = list(run)
         if per_element:
             lines += (line.format(i=i) for i in idx for line in run)
         else:
             lines += (line.format(**whole_row) for line in run)
     namespace = {"add_reduce": np.add.reduce, "array": np.array}
-    exec(compile("\n".join(lines), f"<kftser.kalman rows, dim={dim}>", "exec"), namespace)
+    exec(compile("\n".join(lines), f"<kftser.kalman rows, dim={dim}, clamp={clamp}>", "exec"),
+         namespace)
     return namespace["filter_rows"], namespace["smooth_rows"]
 
 
-def _tune_means(arrays: list[np.ndarray], cfg: KalmanConfig, qs: list[float]) -> np.ndarray:
+def _tune_means(measurement_list, cfg: KalmanConfig, qs: list[float]) -> np.ndarray:
     """Each trajectory's mean filtered row under each q, (n_q, B, dim) in input order.
 
-    Trajectories are sorted longest first (stably). Between two consecutive
-    distinct lengths the same trajectories are active, the first n of the
-    order. Each such stretch starts from contiguous (n_q, n, dim) copies of
-    their state and running sums, with scratch of that shape, and advances
-    them one time step per set of array calls; on a strided prefix view of
-    the whole batch each call would leave numpy's contiguous fast path. The
-    batch shrinks as trajectories end: no step computes a padded slot. Each
-    q gets its own scalar schedule and its own (n, dim) slice of the state;
+    Checks every trajectory as filter_trajectory does. Trajectories are
+    sorted longest first (stably). Between two consecutive distinct lengths
+    the same trajectories are active, the first n of the order. Each such
+    stretch starts from contiguous copies of their state and running sums,
+    with scratch of that shape, and advances them one time step per set of
+    array calls; on a strided prefix view of the whole batch each call would
+    leave numpy's contiguous fast path. The batch shrinks as trajectories
+    end: no step computes a padded slot. Each q gets its own scalar schedule;
     the measurements broadcast across the q axis.
+
+    The state is class-major, (n_q, dim, n): the gain multiply runs on its
+    contiguous (n_q, dim * n) view, one gain per row of the view, and below
+    8 classes the row sum is one add.reduce over axis 1, which adds the
+    classes left to right from 0.0, as the filter loop's _row_sum does. From
+    8 classes on, the sum runs over the last axis of a row-major copy, where
+    numpy sums pairwise, as _row_sum hands it to add.reduce. The projection
+    clamps to [0, 1] only when some measurement lies outside it; otherwise
+    the clamp cannot change a value (module docstring).
 
     No row is kept: each (q, trajectory) keeps a running sum of its rows,
     and when its last row is written the sum divided by its length becomes
@@ -257,43 +295,55 @@ def _tune_means(arrays: list[np.ndarray], cfg: KalmanConfig, qs: list[float]) ->
     axis 0 of a C-contiguous (T, dim) array does for dim >= 2, which is
     evaluation.fuse_utterance's mean rule.
     """
+    checked = [_as_measurements(m, cfg) for m in measurement_list]
+    arrays = [z for z, _ in checked]
+    clamp = not all(in_range for _, in_range in checked)
     order = sorted(range(len(arrays)), key=lambda i: -arrays[i].shape[0])
     lengths = [arrays[i].shape[0] for i in order]
     t_max, batch, dim, n_q = lengths[0], len(arrays), cfg.dim, len(qs)
-    gains = np.stack([_schedule(q, cfg.r, t_max)[1] for q in qs], axis=1).reshape(t_max, n_q, 1, 1)
-    x = np.full((n_q, batch, dim), 1.0 / dim)
+    gains = np.stack([_schedule(q, cfg.r, t_max)[1] for q in qs], axis=1).reshape(t_max, n_q, 1)
+    x = np.full((n_q, dim, batch), 1.0 / dim)
     total = np.zeros_like(x)
     fused = np.empty_like(x)
     active, t_start = batch, 0
     for t_end in sorted(set(lengths)):
         # contiguous copies of the still-active state and sums, and scratch
         # of their shape, so no call in the stretch works on a strided view
-        zs = np.stack([arrays[i][t_start:t_end] for i in order[:active]], axis=1)
-        x = np.ascontiguousarray(x[:, :active])
-        total = np.ascontiguousarray(total[:, :active])
-        step, clipped = np.empty_like(x), np.empty_like(x)
-        sums = np.empty((n_q, active, 1))
+        zs = np.stack([arrays[i][t_start:t_end] for i in order[:active]], axis=2)
+        x = np.ascontiguousarray(x[:, :, :active])
+        total = np.ascontiguousarray(total[:, :, :active])
+        step = np.empty_like(x)
+        flat_step = step.reshape(n_q, dim * active)
+        rows = np.empty_like(x) if clamp else x
+        row_major = np.empty((n_q, active, dim)) if dim >= 8 else None
+        sums = np.empty((n_q, 1, active))
         for zt, g in zip(zs, gains[t_start:t_end]):
             np.subtract(zt, x, out=step)
-            np.multiply(step, g, out=step)
+            np.multiply(flat_step, g, out=flat_step)
             np.add(x, step, out=x)
             if cfg.renormalize:
                 # _renorm_rows' projection in place; the function itself runs
-                # only when some row clamps to all zeros
-                np.maximum(x, 0.0, out=clipped)
-                np.minimum(clipped, 1.0, out=clipped)
-                np.add.reduce(clipped, axis=-1, keepdims=True, out=sums)
+                # only when some row sums to zero
+                if clamp:
+                    np.maximum(x, 0.0, out=rows)
+                    np.minimum(rows, 1.0, out=rows)
+                if row_major is None:
+                    np.add.reduce(rows, axis=1, keepdims=True, out=sums)
+                else:
+                    np.copyto(row_major, rows.transpose(0, 2, 1))
+                    np.add.reduce(row_major, axis=-1, out=sums[:, 0])
                 # not sums.all(): its Python wrapper costs more than the test
                 if np.count_nonzero(sums) == sums.size:
-                    np.divide(clipped, sums, out=x)
+                    np.divide(rows, sums, out=x)
                 else:
-                    x[...] = _renorm_rows(x, dim)
+                    x_row_major = np.ascontiguousarray(x.transpose(0, 2, 1))
+                    x[...] = _renorm_rows(x_row_major, dim).transpose(0, 2, 1)
             np.add(total, x, out=total)
         ending = lengths.count(t_end)
-        np.divide(total[:, active - ending:], t_end, out=fused[:, active - ending:active])
+        np.divide(total[:, :, active - ending:], t_end, out=fused[:, :, active - ending:active])
         active -= ending
         t_start = t_end
-    return fused[:, np.argsort(order)]
+    return fused.transpose(0, 2, 1)[:, np.argsort(order)]
 
 
 @dataclass
@@ -320,15 +370,17 @@ def filter_trajectory(measurements: np.ndarray, cfg: KalmanConfig) -> SmoothedTr
     _row_loops' filter loop on Python floats, where numpy's per-call
     overhead would outweigh a step's few float operations: x + k*(z - x),
     clamp to [0, 1], the row sum as numpy's add.reduce makes it, divide; a row
-    whose clamped sum is 0 becomes the uniform row. The rows go in and come
-    out as one flat list each: numpy converts a flat list both ways far
-    faster than a list of rows.
+    whose clamped sum is 0 becomes the uniform row. When every measurement
+    lies in [0, 1] the loop leaves out the clamp, which could not change a
+    bit there (module docstring). The rows go in and come out as one flat
+    list each: numpy converts a flat list both ways far faster than a list
+    of rows.
     """
-    z = _as_measurements(measurements, cfg)
+    z, in_range = _as_measurements(measurements, cfg)
     t_steps = z.shape[0]
     p_pred, gains, p_filt = _schedule(cfg.q, cfg.r, t_steps)
-    flat = _row_loops(cfg.dim)[0](z.ravel().tolist(), gains.tolist(), cfg.renormalize,
-                                  1.0 / cfg.dim)
+    filter_rows = _row_loops(cfg.dim, cfg.renormalize and not in_range)[0]
+    flat = filter_rows(z.ravel().tolist(), gains.tolist(), cfg.renormalize, 1.0 / cfg.dim)
     return SmoothedTrajectory(filtered=np.fromiter(flat, np.float64, len(flat)).reshape(z.shape),
                               predicted_var=p_pred.copy(), filtered_var=p_filt.copy())
 
@@ -365,7 +417,7 @@ def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
             raise ValueError(f"{name} must have shape {shape[:1]}, "
                              f"got {getattr(st, name).shape}")
     gain = (st.filtered_var[-2::-1] / st.predicted_var[:0:-1]).tolist()
-    flat = _row_loops(cfg.dim)[1](st.filtered[::-1].ravel().tolist(), gain)
+    flat = _row_loops(cfg.dim, False)[1](st.filtered[::-1].ravel().tolist(), gain)
     means = np.fromiter(flat, np.float64, len(flat)).reshape(shape)
     return means[::-1].copy()
 
@@ -426,8 +478,7 @@ def tune_qr_ratio(measurement_list, labels, cfg: KalmanConfig,
     ratios = check_ratio_grid(ratios)
     check_tunable(cfg)
     qs = [replace(cfg, q=ratio * cfg.r).q for ratio in ratios]  # validates each q
-    arrays = [_as_measurements(m, cfg) for m in measurement_list]
-    fused = _tune_means(arrays, cfg, qs)
+    fused = _tune_means(measurement_list, cfg, qs)
     preds = fused.argmax(axis=-1)
     accuracies = {}
     best_ratio, best_acc = None, -1.0

@@ -437,6 +437,25 @@ class TestTune:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "trajectory", "tune"])
+def test_checkpoint_of_the_wrong_input_width_is_a_runtime_error(cli_ws, tmp_path, capsys,
+                                                                 command):
+    """A checkpoint trained on other features is bad data, not a usage error."""
+    path = tmp_path / "narrow.ckpt"
+    save_checkpoint(init_model((10, 8, 4), seed=0), path)
+    out = tmp_path / "out"
+    inputs = {"evaluate": [str(cli_ws["manifest"]), "--features", str(cli_ws["features"]),
+                           "--out-dir", str(out)],
+              "trajectory": [str(sorted(cli_ws["audio"].glob("*.wav"))[0]), "--out", str(out)],
+              "tune": [str(cli_ws["manifest"]), "--features", str(cli_ws["features"]),
+                       "--out", str(out)]}
+    rc = main([command, *inputs[command], "--checkpoint", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {path}: checkpoint input width 10 does not "
+                                       "match the 41 features per frame\n")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def run_ws(cli_ws, tmp_path_factory):
     """`kftser run` on the cli_ws manifest with the seed and epochs cli_ws trained at."""
@@ -627,11 +646,13 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path, child_env):
                               capture_output=True, text=True, cwd=root,
                               env=child_env(OPENBLAS_NUM_THREADS=threads))
         assert proc.returncode == 0, proc.stderr
+        # the trace CSV is the only artifact of train's epoch-scoring thread
         outputs = sorted(root.glob("features/*.feat")) + [
-            root / "model.ckpt", *(root / "reports" / name for name in (
-                "eval_report.json", "gain_report.json", "confusion.csv"))]
+            root / "model.ckpt", root / "model.ckpt.trace.csv",
+            *(root / "reports" / name
+              for name in ("eval_report.json", "gain_report.json", "confusion.csv"))]
         runs[threads] = {p.relative_to(root).as_posix(): p.read_bytes() for p in outputs}
-    assert len(runs["1"]) == 16
+    assert len(runs["1"]) == 17
     assert runs["1"].keys() == runs["2"].keys()
     differing = [name for name in runs["1"] if runs["1"][name] != runs["2"][name]]
     assert not differing, f"bytes differ between 1 and 2 BLAS threads: {differing}"

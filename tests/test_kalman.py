@@ -1,11 +1,12 @@
 import functools
 import hashlib
+import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -532,6 +533,39 @@ class TestZeroSumProjection:
             best = max(ratios, key=lambda ratio: (want[ratio], -ratio))
             assert res == TuneResult(best_ratio=best, best_q=best * r, accuracies=want)
 
+    @pytest.mark.parametrize("renorm", [True, False])
+    @pytest.mark.parametrize("q, r", [(1e-3, 0.1), (0.0, 0.1)])
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_streamed_tune_matches_filter_batch_then_fuse_in_range(self, monkeypatch, rng, dim,
+                                                                   q, r, renorm):
+        """The same equality on rows in [0, 1], which the tune projects without
+        the clamp: uniform, Dirichlet and all-zero rows. Ratio 1e301 makes the
+        gain exactly 1, so an all-zero row zeroes the state and falls back to
+        the uniform row on the clamp-free path too."""
+        calls = self._count_fallbacks(monkeypatch)
+        cfg = KalmanConfig(dim=dim, q=q, r=r, renormalize=renorm)
+        ratios = [q / r, 1.0, 1e301]
+        qs = [ratio * r for ratio in ratios]
+        trajs = []
+        for i, t in enumerate((17, 1, 60, 5, 5, 5, 2, 60, 33)):
+            z = rng.uniform(0.0, 1.0, size=(t, dim)) if i % 2 else rng.dirichlet(np.ones(dim), t)
+            z[rng.uniform(size=t) < 0.2] = 0.0
+            trajs.append(z)
+        trajs[1][0] = 0.0  # so every batch holds an all-zero row
+        labels = rng.integers(0, dim, size=len(trajs))
+        res = tune_qr_ratio(trajs, labels, cfg, ratios=ratios)
+        assert bool(calls) == renorm
+        fused = kalman._tune_means(trajs, cfg, qs)
+        want = {}
+        for ratio, q_k, fused_k in zip(ratios, qs, fused):
+            decisions = [fuse_utterance(m) for m in filter_batch(trajs, replace(cfg, q=q_k))]
+            if dim >= 2:
+                for got, (_, vector) in zip(fused_k, decisions):
+                    assert got.tobytes() == vector.tobytes()
+            want[ratio] = float(np.mean(np.array([label for label, _ in decisions]) == labels))
+        best = max(ratios, key=lambda ratio: (want[ratio], -ratio))
+        assert res == TuneResult(best_ratio=best, best_q=best * r, accuracies=want)
+
     def test_tune_holds_no_padded_output(self):
         """40 trajectories of 44 to 453 frames through the 5-ratio grid: the old
         (T_max, n_q, B, dim) array of every filtered row alone took 2,899,200 bytes."""
@@ -543,6 +577,77 @@ class TestZeroSumProjection:
         finally:
             tracemalloc.stop()
         assert peak < 453 * 5 * 40 * 4 * 8
+
+
+def _loop_choices(monkeypatch):
+    """Record the clamp argument of every _row_loops call."""
+    choices = []
+    original = kalman._row_loops
+
+    def recorded(dim, clamp):
+        choices.append(clamp)
+        return original(dim, clamp)
+
+    monkeypatch.setattr(kalman, "_row_loops", recorded)
+    return choices
+
+
+_EDGE_VALUES = (0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53)
+_NOISE_SCALES = (0.0, 1e-300, 1e-3, 1.0, 1e300)
+
+
+@st.composite
+def _unit_rows(draw):
+    """(T, dim) rows in [0, 1] at widths 1 to 12, rich in the edge values and
+    in rows of zeros."""
+    dim = draw(st.integers(min_value=1, max_value=12))
+    t_steps = draw(st.integers(min_value=1, max_value=30))
+    element = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(min_value=0.0, max_value=1.0))
+    z = draw(hnp.arrays(np.float64, (t_steps, dim), elements=element))
+    z[draw(hnp.arrays(np.bool_, t_steps))] = 0.0
+    return z
+
+
+class TestClampFreePath:
+    """On state, measurement and gain in [0, 1] the clamp returns its input, so
+    rows in [0, 1] take the loop without it (module docstring of kalman)."""
+
+    @given(z=_unit_rows(), q=st.sampled_from(_NOISE_SCALES), r=st.sampled_from(_NOISE_SCALES))
+    @settings(max_examples=300, deadline=None)
+    def test_loops_agree_bit_for_bit_on_rows_in_range(self, z, q, r):
+        """Equal values and equal sign bits, so no -0.0 comes out either."""
+        assume(q or r)
+        dim = z.shape[1]
+        gains = kalman._schedule(q, r, len(z))[1].tolist()
+        flat = [kalman._row_loops(dim, clamp)[0](z.ravel().tolist(), gains, True, 1.0 / dim)
+                for clamp in (True, False)]
+        assert np.array(flat[0]).tobytes() == np.array(flat[1]).tobytes()
+        assert not any(math.copysign(1.0, v) < 0 for v in flat[1])
+
+    def test_filter_takes_the_clamp_free_loop_on_rows_in_range(self, monkeypatch, rng):
+        choices = _loop_choices(monkeypatch)
+        cfg = KalmanConfig()
+        z = rng.dirichlet(np.ones(4), size=20)
+        z[3] = 0.0
+        z[4] = -0.0
+        z[5] = (1.0, 0.0, 0.0, 0.0)
+        filter_trajectory(z, cfg)
+        assert choices == [False]
+
+    @pytest.mark.parametrize("bad", [1.0 + 2.0**-52, -5e-324, 2.0, -100.0])
+    def test_one_entry_out_of_range_runs_the_clamping_path(self, monkeypatch, rng, bad):
+        """The filter and the tune both clamp a batch with one entry outside [0, 1].
+        At r = 0 the state takes each row, so at 2.0 and -100.0 skipping the
+        clamp would move the mean rows; a clamp of one ulp leaves them as they are."""
+        choices = _loop_choices(monkeypatch)
+        cfg = KalmanConfig(q=1e-3, r=0.0)
+        trajs = [rng.dirichlet(np.ones(4), size=t) for t in (9, 14, 6)]
+        trajs[1][7, 2] = bad
+        filtered = [filter_trajectory(z, cfg).filtered for z in trajs]
+        assert choices == [False, True, False]
+        want = np.array([fuse_utterance(rows)[1] for rows in filtered])
+        assert kalman._tune_means(trajs, cfg, [cfg.q])[0].tobytes() == want.tobytes()
+        assert (filtered[1][7] >= 0.0).all() and (filtered[1][7] <= 1.0).all()
 
 
 class TestRtsSmoother:
