@@ -25,8 +25,6 @@ from .manifest import (CLASS_NAMES, Manifest, build_manifest, check_split,
                        generate_synthetic_dataset, split_manifest, write_json)
 from .mlp import load_checkpoint, predict_frames, save_checkpoint, save_trace_csv
 
-log = logging.getLogger("kftser.cli")
-
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 

@@ -99,10 +99,15 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
+        """Load a JSON config; a document that does not decode to one object
+        raises ConfigError naming the path."""
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
+                raise ConfigError(f"{path}: cannot read as UTF-8 JSON: {exc}") from None
         if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a single JSON object")
+            raise ConfigError(f"{path}: config file must hold a single JSON object")
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:

@@ -10,7 +10,8 @@ class DecodeError(KftserError):
 
 
 class FeatureFileError(KftserError):
-    """A .feat file has a bad magic, a truncated header or payload, or the wrong width."""
+    """A .feat file has a bad magic, a truncated header or payload, the wrong width,
+    no frames, or a non-finite value."""
 
 
 class CheckpointError(KftserError):

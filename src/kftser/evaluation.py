@@ -91,25 +91,35 @@ def confusion_matrix(true_labels, predicted_labels,
     return ConfusionMatrix(counts=counts, class_names=class_names)
 
 
-@dataclass
 class EvalReport:
-    """Per-class precision/recall/F1/support plus the usual averages.
+    """Per-class precision/recall/F1/support plus the usual averages, all
+    computed here from one confusion matrix; a zero denominator scores 0.
 
     Stored values are full precision; display rounds to 2 decimals.
     """
 
-    precision: np.ndarray
-    recall: np.ndarray
-    f1: np.ndarray
-    support: np.ndarray
-    accuracy: float
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    weighted_precision: float
-    weighted_recall: float
-    weighted_f1: float
-    confusion: ConfusionMatrix
+    def __init__(self, confusion: ConfusionMatrix):
+        total = confusion.total
+        if total < 1:
+            raise ValueError("confusion matrix is empty")
+        self.confusion = confusion
+        self.support = confusion.support
+        diag = np.diag(confusion.counts).astype(np.float64)
+        col_sums = confusion.counts.sum(axis=0).astype(np.float64)
+        row_sums = self.support.astype(np.float64)
+        self.precision = np.divide(diag, col_sums, out=np.zeros_like(diag), where=col_sums > 0)
+        self.recall = np.divide(diag, row_sums, out=np.zeros_like(diag), where=row_sums > 0)
+        pr_sum = self.precision + self.recall
+        self.f1 = np.divide(2.0 * self.precision * self.recall, pr_sum,
+                            out=np.zeros_like(diag), where=pr_sum > 0)
+        self.accuracy = float(diag.sum() / total)
+        self.macro_precision = float(self.precision.mean())
+        self.macro_recall = float(self.recall.mean())
+        self.macro_f1 = float(self.f1.mean())
+        weights = self.support / total
+        self.weighted_precision = float(self.precision @ weights)
+        self.weighted_recall = float(self.recall @ weights)
+        self.weighted_f1 = float(self.f1 @ weights)
 
     def to_dict(self) -> dict:
         names = self.confusion.class_names
@@ -166,36 +176,7 @@ class EvalReport:
 
 def classification_report(cm: ConfusionMatrix) -> EvalReport:
     """Precision/recall/F1 per class with zero-denominator cases defined as 0."""
-    counts = cm.counts
-    total = cm.total
-    if total < 1:
-        raise ValueError("confusion matrix is empty")
-    diag = np.diag(counts).astype(np.float64)
-    col_sums = counts.sum(axis=0).astype(np.float64)
-    row_sums = counts.sum(axis=1).astype(np.float64)
-
-    precision = np.divide(diag, col_sums, out=np.zeros_like(diag), where=col_sums > 0)
-    recall = np.divide(diag, row_sums, out=np.zeros_like(diag), where=row_sums > 0)
-    pr_sum = precision + recall
-    f1 = np.divide(2.0 * precision * recall, pr_sum,
-                   out=np.zeros_like(diag), where=pr_sum > 0)
-    support = cm.support
-    weights = support / total
-
-    return EvalReport(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        support=support,
-        accuracy=float(diag.sum() / total),
-        macro_precision=float(precision.mean()),
-        macro_recall=float(recall.mean()),
-        macro_f1=float(f1.mean()),
-        weighted_precision=float(precision @ weights),
-        weighted_recall=float(recall @ weights),
-        weighted_f1=float(f1 @ weights),
-        confusion=cm,
-    )
+    return EvalReport(cm)
 
 
 @dataclass
@@ -233,12 +214,22 @@ class PipelineEvaluation:
     """
 
     report: EvalReport
-    gain: GainReport
     frame_accuracy: float
     filtered_frame_accuracy: float
-    utterance_accuracy: float
     n_frames: int
-    n_utterances: int
+
+    @property
+    def utterance_accuracy(self) -> float:
+        return self.report.accuracy
+
+    @property
+    def n_utterances(self) -> int:
+        return self.report.confusion.total
+
+    @property
+    def gain(self) -> GainReport:
+        return GainReport(frame_level_accuracy=self.frame_accuracy,
+                          utterance_level_accuracy=self.utterance_accuracy)
 
 
 def evaluate_pipeline(model: MlpModel, kalman_cfg: KalmanConfig,
@@ -264,19 +255,11 @@ def evaluate_pipeline(model: MlpModel, kalman_cfg: KalmanConfig,
         predictions[i], _ = fuse_utterance(smooth, fusion)
 
     cm = confusion_matrix(labels, predictions, class_names=model.class_order)
-    report = classification_report(cm)
-    frame_acc = frame_correct / n_frames
-    utterance_acc = float(np.mean(predictions == labels))
-    gain = GainReport(frame_level_accuracy=frame_acc,
-                      utterance_level_accuracy=utterance_acc)
     return PipelineEvaluation(
-        report=report,
-        gain=gain,
-        frame_accuracy=frame_acc,
+        report=EvalReport(cm),
+        frame_accuracy=frame_correct / n_frames,
         filtered_frame_accuracy=filtered_correct / n_frames,
-        utterance_accuracy=utterance_acc,
         n_frames=n_frames,
-        n_utterances=len(labels),
     )
 
 

@@ -242,7 +242,11 @@ def save_features(fm: FeatureMatrix, path: str | Path) -> None:
 
 
 def load_features(path: str | Path) -> FeatureMatrix:
-    """Read a file written by save_features; the utterance id is the file stem."""
+    """Read a file written by save_features; the utterance id is the file stem.
+
+    A file with no frames or with a NaN or infinite value is corrupt: no
+    extraction writes either.
+    """
     raw = Path(path).read_bytes()
     if raw[: len(FEATURE_FILE_MAGIC)] != FEATURE_FILE_MAGIC:
         raise FeatureFileError(f"{path}: bad feature-file magic")
@@ -254,6 +258,11 @@ def load_features(path: str | Path) -> FeatureMatrix:
     body = raw[len(FEATURE_FILE_MAGIC) + 8 :]
     if len(body) != t * c * 8:
         raise FeatureFileError(f"{path}: expected {t * c * 8} payload bytes, found {len(body)}")
+    if t == 0:
+        raise FeatureFileError(f"{path}: holds no frames")
     rows = np.frombuffer(body, dtype="<f8").reshape(t, c)
+    if not np.isfinite(rows).all():
+        frame = int(np.isfinite(rows).all(axis=1).argmin())
+        raise FeatureFileError(f"{path}: non-finite value in frame {frame}")
     return FeatureMatrix(rows=rows.copy(), utterance_id=Path(path).stem)
 

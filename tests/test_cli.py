@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kftser.features import FeatureMatrix, save_features
 from kftser.manifest import CLASS_NAMES, Manifest
 from kftser.mlp import init_model, load_checkpoint, save_checkpoint
 from kftser.cli import _print_tune, main
@@ -453,6 +454,36 @@ def test_checkpoint_of_the_wrong_input_width_is_a_runtime_error(cli_ws, tmp_path
     assert rc == 1
     assert capsys.readouterr().err == (f"error: {path}: checkpoint input width 10 does not "
                                        "match the 41 features per frame\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_frames, bad_frame, bad_value, detail", [
+    (0, None, None, "holds no frames"),
+    (3, 0, np.nan, "non-finite value in frame 0"),
+    (4, 2, -np.inf, "non-finite value in frame 2"),
+], ids=["zero-frames", "nan", "minus-inf"])
+@pytest.mark.parametrize("command", ["evaluate", "tune", "train"])
+def test_corrupt_feature_file_is_a_runtime_error(cli_ws, tmp_path, capsys, command, n_frames,
+                                                 bad_frame, bad_value, detail):
+    """A .feat with no frames or a non-finite value is bad data (exit 1), named
+    by its path, before any output is written; train does not drop it."""
+    features = tmp_path / "features"
+    shutil.copytree(cli_ws["features"], features)
+    manifest = Manifest.load(cli_ws["manifest"])
+    split = manifest.test_indices if command == "evaluate" else manifest.train_indices
+    victim = features / f"{split[0]:05d}.feat"
+    rows = np.full((n_frames, 41), 0.5)
+    if bad_frame is not None:
+        rows[bad_frame, 40] = bad_value
+    save_features(FeatureMatrix(rows=rows), victim)
+    out = tmp_path / "out"
+    outputs = {"evaluate": ["--checkpoint", str(cli_ws["ckpt"]), "--out-dir", str(out)],
+               "tune": ["--checkpoint", str(cli_ws["ckpt"]), "--out", str(out)],
+               "train": ["--out", str(out), "--epochs", "1"]}
+    rc = main([command, str(cli_ws["manifest"]), "--features", str(features),
+               *outputs[command]])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {victim}: {detail}\n"
     assert not out.exists()
 
 

@@ -115,6 +115,28 @@ def test_config_file_must_be_object(tmp_path):
         PipelineConfig.from_file(path)
 
 
+@pytest.mark.parametrize("raw, detail", [
+    (b'{"epochs": 3, }', "Expecting property name enclosed in double quotes"),
+    (b'{"fusion": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    (b"[1, 2, 3]", "config file must hold a single JSON object"),
+    (b"", "Expecting value"),
+], ids=["malformed-json", "non-utf8", "non-object", "empty"])
+def test_undecodable_config_names_the_file(tmp_path, capsys, raw, detail):
+    """A config that does not decode to one JSON object is a usage error
+    whose message starts with the file's path."""
+    path = tmp_path / "cfg.json"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
+        PipelineConfig.from_file(path)
+    rc = main(["extract", str(tmp_path / "manifest.json"), "--out-dir", str(tmp_path / "f"),
+               "--config", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: ") and detail in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "f").exists()
+
+
 def test_overrides_beat_file_values_and_none_is_ignored():
     cfg = PipelineConfig(epochs=10, seed=1)
     out = cfg.with_overrides(epochs=None, seed=5)

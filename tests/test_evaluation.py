@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -253,6 +254,82 @@ class TestEvaluatePipeline:
             evaluate_pipeline(model, KalmanConfig(), [], [])
         with pytest.raises(ValueError):
             evaluate_pipeline(model, KalmanConfig(), trajs, labels[:-1])
+
+
+GATE_COUNTS = [[170, 4, 10, 8], [8, 170, 4, 10], [7, 5, 167, 13], [5, 15, 8, 164]]
+# angry is never predicted (column 0 is zero); happy has no utterances (row 2 is zero)
+SPARSE_COUNTS = [[0, 3, 1, 0], [0, 4, 0, 1], [0, 0, 0, 0], [0, 2, 0, 5]]
+
+REPORT_GOLDEN = [
+    (
+        GATE_COUNTS,
+        "f0eff8ab5c6b8fa3ad38ecd608f86a1788ea39776af24f79f14338dbde38cd9b",
+        "class,angry,calm,happy,sad\r\nangry,170,4,10,8\r\ncalm,8,170,4,10\r\n"
+        "happy,7,5,167,13\r\nsad,5,15,8,164\r\n",
+        """\
+             precision    recall  f1-score   support
+
+angry             0.89      0.89      0.89       192
+calm              0.88      0.89      0.88       192
+happy             0.88      0.87      0.88       192
+sad               0.84      0.85      0.85       192
+
+accuracy                              0.87       768
+macro avg         0.87      0.87      0.87       768
+weighted avg      0.87      0.87      0.87       768""",
+    ),
+    (
+        SPARSE_COUNTS,
+        "a80eac6176765b61c8d7d823e1575400516de43201af7f24300478757a637669",
+        "class,angry,calm,happy,sad\r\nangry,0,3,1,0\r\ncalm,0,4,0,1\r\n"
+        "happy,0,0,0,0\r\nsad,0,2,0,5\r\n",
+        """\
+             precision    recall  f1-score   support
+
+angry             0.00      0.00      0.00         4
+calm              0.44      0.80      0.57         5
+happy             0.00      0.00      0.00         0
+sad               0.83      0.71      0.77         7
+
+accuracy                              0.56        16
+macro avg         0.32      0.38      0.34        16
+weighted avg      0.50      0.56      0.52        16""",
+    ),
+]
+
+
+class TestReportGoldenBytes:
+    """The bytes of every report file and of the printed table are pinned."""
+
+    @pytest.mark.parametrize("counts, json_sha256, csv_text, table", REPORT_GOLDEN,
+                             ids=["gate-4x4", "empty-and-never-predicted"])
+    def test_report_files_and_table(self, tmp_path, counts, json_sha256, csv_text, table):
+        report = classification_report(ConfusionMatrix(counts=np.array(counts)))
+        report.save_json(tmp_path / "eval_report.json")
+        report.confusion.save_csv(tmp_path / "confusion.csv")
+        assert report.to_dict() == json.loads((tmp_path / "eval_report.json").read_text())
+        got = hashlib.sha256((tmp_path / "eval_report.json").read_bytes()).hexdigest()
+        assert got == json_sha256
+        assert (tmp_path / "confusion.csv").read_bytes() == csv_text.encode()
+        assert report.format_table() == table
+
+    def test_sparse_report_values(self):
+        """Zero denominators score 0; the averages still weigh every class."""
+        report = classification_report(ConfusionMatrix(counts=np.array(SPARSE_COUNTS)))
+        assert report.to_dict()["classes"]["happy"] == {
+            "precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 0}
+        assert report.accuracy == 9 / 16
+        assert report.macro_recall == (0.8 + 5 / 7) / 4
+
+    def test_gain_report_from_the_pipeline(self, tmp_path):
+        trajs, labels = synth_noisy_trajectories(8, 25, flip_prob=0.6, seed=0)
+        result = evaluate_pipeline(_passthrough_model(), KalmanConfig(), trajs, labels)
+        result.gain.save_json(tmp_path / "gain_report.json")
+        assert (tmp_path / "gain_report.json").read_text() == (
+            '{\n  "frame_level_accuracy": 0.4,\n  "utterance_level_accuracy": 0.625,\n'
+            '  "absolute_gain": 0.22499999999999998\n}\n'
+        )
+        assert result.utterance_accuracy == result.report.accuracy == 0.625
 
 
 class TestSynthTrajectories:
