@@ -99,8 +99,8 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        """Load a JSON config; a document that does not decode to one object
-        raises ConfigError naming the path."""
+        """Load a JSON config; every ConfigError, an undecodable document's
+        included, names the path."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
@@ -108,7 +108,10 @@ class PipelineConfig:
                 raise ConfigError(f"{path}: cannot read as UTF-8 JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config file must hold a single JSON object")
-        return cls.from_dict(raw)
+        try:
+            return cls.from_dict(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

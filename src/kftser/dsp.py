@@ -8,7 +8,6 @@ from __future__ import annotations
 import functools
 import math
 import struct
-import wave
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,14 +127,12 @@ def decode_wav(path: str | Path) -> AudioClip:
     return AudioClip(mono, sample_rate)
 
 
-def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
-    """Write mono float samples as 16-bit PCM."""
+def wav_bytes(samples: np.ndarray, sample_rate: int) -> bytes:
+    """Mono float samples as a 16-bit PCM WAV file: the 44-byte header, then the data."""
     ints = np.clip(np.round(np.asarray(samples) * 32767.0), -32768, 32767)
-    with wave.open(str(path), "wb") as fh:
-        fh.setnchannels(1)
-        fh.setsampwidth(2)
-        fh.setframerate(sample_rate)
-        fh.writeframes(ints.astype("<i2").tobytes())
+    data = ints.astype("<i2").tobytes()
+    return struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE", b"fmt ", 16,
+                       1, 1, sample_rate, 2 * sample_rate, 2, 16, b"data", len(data)) + data
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:

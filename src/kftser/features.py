@@ -15,6 +15,7 @@ from scipy.fft import dct
 
 from .dsp import AudioClip, FramingConfig, frame_rms, frame_view, padded_signal
 from .errors import FeatureFileError
+from .manifest import write_bytes
 
 N_MFCC = 13
 FEATURE_COLUMNS = tuple(
@@ -234,11 +235,8 @@ def apply_scaler(rows: np.ndarray, stats: ScalerStats) -> np.ndarray:
 
 def save_features(fm: FeatureMatrix, path: str | Path) -> None:
     """Compact binary form: magic, u32 T, u32 n_cols, row-major f64 LE."""
-    t, c = fm.rows.shape
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_FILE_MAGIC)
-        fh.write(struct.pack("<II", t, c))
-        fh.write(fm.rows.astype("<f8").tobytes())
+    header = FEATURE_FILE_MAGIC + struct.pack("<II", *fm.rows.shape)
+    write_bytes(path, header + fm.rows.astype("<f8").tobytes())
 
 
 def load_features(path: str | Path) -> FeatureMatrix:

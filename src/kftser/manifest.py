@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import json
 import logging
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,19 +26,36 @@ from .errors import EmptyDatasetError, FilenameParseError, KftserError
 log = logging.getLogger("kftser.manifest")
 
 
+def write_bytes(path: str | Path, data: bytes) -> None:
+    """Replace path with data: the one function in kftser that writes a file.
+
+    The bytes go to .<name>.<pid>.tmp beside path, which os.replace then
+    renames over it, so a failed write leaves the old file and no temporary
+    one. A plain open, not mkstemp, so the file gets the umask's permissions.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path: str | Path, obj) -> None:
-    """Write obj as two-space-indented JSON with a trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    """Write obj as two-space-indented UTF-8 JSON with a trailing newline."""
+    write_bytes(path, (json.dumps(obj, indent=2) + "\n").encode("utf-8"))
 
 
 def write_csv(path: str | Path, header, rows) -> None:
-    """Write the header row, then each of rows, with the csv module's defaults."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write the header row, then each of rows, as UTF-8 with the csv module's defaults."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_bytes(path, text.getvalue().encode("utf-8"))
 
 
 class Emotion(enum.IntEnum):
@@ -388,8 +407,8 @@ def generate_synthetic_dataset(
         for i in range(per_class):
             name = _synthetic_name(emotion, i)
             path = out_dir / name
-            dsp.write_wav(path, _synth_samples(rng, _PROFILES[emotion], sample_rate, duration),
-                          sample_rate)
+            samples = _synth_samples(rng, _PROFILES[emotion], sample_rate, duration)
+            write_bytes(path, dsp.wav_bytes(samples, sample_rate))
             parsed = parse_ravdess_filename(name)
             assert parsed is not None
             records.append(replace(parsed, file_path=str(path)))

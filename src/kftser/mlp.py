@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CheckpointError
 from .features import N_FEATURES, FeatureMatrix, ScalerStats, apply_scaler
-from .manifest import CLASS_NAMES, write_csv
+from .manifest import CLASS_NAMES, write_bytes, write_csv
 
 DEFAULT_LAYER_DIMS = (N_FEATURES, 256, 128, 4)
 
@@ -367,13 +367,12 @@ def save_checkpoint(model: MlpModel, path: str | Path) -> None:
     dims, names = model.layer_dims, [name.encode("utf-8") for name in model.class_order]
     header = struct.pack(f"<{len(dims) + 3}I", CHECKPOINT_VERSION, len(dims), *dims, len(names))
     scaler = () if model.scaler is None else (model.scaler.mean, model.scaler.std)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC + header)
-        for raw in names:
-            fh.write(struct.pack("<I", len(raw)) + raw)
-        fh.write(struct.pack("<I", len(scaler[0]) if scaler else 0))
-        for arr in (*scaler, model.params):
-            fh.write(arr.astype("<f8").tobytes())
+    write_bytes(path, b"".join([
+        CHECKPOINT_MAGIC + header,
+        *(struct.pack("<I", len(raw)) + raw for raw in names),
+        struct.pack("<I", len(scaler[0]) if scaler else 0),
+        *(arr.astype("<f8").tobytes() for arr in (*scaler, model.params)),
+    ]))
 
 
 def load_checkpoint(path: str | Path) -> MlpModel:

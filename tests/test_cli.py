@@ -187,13 +187,21 @@ class TestExtract:
         assert "Traceback" not in err
         assert not (tmp_path / "feats").exists()
 
-    def test_unknown_config_key_is_an_argument_error(self, cli_ws, tmp_path, capsys):
+    @pytest.mark.parametrize("raw, message", [
+        ('{"learning_rte": 0.01}', "unknown config keys: learning_rte"),
+        ('{"epochs": -1}', "invalid config: epochs must be >= 0"),
+        ('{"fusion": 3}', "fusion must be str, got 3"),
+    ], ids=["unknown-key", "negative-epochs", "fusion-int"])
+    def test_config_errors_name_the_file(self, cli_ws, tmp_path, capsys, raw, message):
+        """A config whose keys or values are wrong is a usage error that starts
+        with the config file's path, like one that does not decode."""
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"learning_rte": 0.01}')
+        cfg.write_text(raw)
         rc = main(["extract", str(cli_ws["manifest"]), "--out-dir", str(tmp_path / "f"),
                    "--config", str(cfg)])
         assert rc == 2
-        assert "learning_rte" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not (tmp_path / "f").exists()
 
 
 class TestTrain:

@@ -20,12 +20,13 @@ from kftser.dsp import (
     resample,
     resample_trimmed,
     trim_silence,
-    write_wav,
+    wav_bytes,
     _resample_kernel,
 )
 from kftser.config import PipelineConfig
 from kftser.errors import DecodeError
 from kftser.features import save_features
+from kftser.manifest import write_bytes
 from kftser.pipeline import wav_to_features
 
 
@@ -130,7 +131,7 @@ class TestDecodeWav:
     def test_write_read_round_trip(self, tmp_path, rng):
         samples = rng.uniform(-0.9, 0.9, 501)
         path = tmp_path / "rt.wav"
-        write_wav(path, samples, 22050)
+        write_bytes(path, wav_bytes(samples, 22050))
         clip = decode_wav(path)
         assert clip.sample_rate == 22050
         assert len(clip.samples) == 501

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from kftser.config import PipelineConfig
-from kftser.dsp import write_wav
+from kftser.dsp import wav_bytes
 from kftser.errors import KftserError
 from kftser.features import save_features
-from kftser.manifest import Manifest, generate_synthetic_dataset
+from kftser.manifest import Manifest, generate_synthetic_dataset, write_bytes
 from kftser.pipeline import (
     extract_to_dir,
     feature_filename,
@@ -77,7 +77,7 @@ class TestWavToFeatures:
     def test_resamples_foreign_rates(self, tmp_path, rng):
         path = tmp_path / "hi.wav"
         t = np.arange(44100) / 44100.0
-        write_wav(path, 0.5 * np.sin(2 * np.pi * 440 * t), 44100)
+        write_bytes(path, wav_bytes(0.5 * np.sin(2 * np.pi * 440 * t), 44100))
         fm = wav_to_features(path, PipelineConfig())
         assert fm.rows.shape[1] == 41
         assert fm.n_frames > 10
@@ -131,7 +131,8 @@ def _feature_hashes(tmp_path):
     rate = 48000
     noise = np.random.default_rng(5).normal(0.0, 1e-4, rate // 2)
     tone = 0.5 * np.sin(2 * np.pi * 330.0 * np.arange(rate) / rate)
-    write_wav(tmp_path / "hi.wav", np.concatenate([noise[::2], tone, noise[1::2]]), rate)
+    samples = np.concatenate([noise[::2], tone, noise[1::2]])
+    write_bytes(tmp_path / "hi.wav", wav_bytes(samples, rate))
     fm = wav_to_features(tmp_path / "hi.wav", cfg)
     assert fm.n_frames < 1.5 * cfg.sample_rate / cfg.hop_length
     save_features(fm, tmp_path / "hi.feat")
@@ -172,7 +173,7 @@ def _lead_and_tail_clip(rate, seed):
 def test_trimmed_real_rate_features_match_golden_bytes(tmp_path, rate, seed, want):
     """.feat bytes of a clip whose silent lead and quiet tail the trim drops; the
     hashes were taken when wav_to_features still resampled the whole clip."""
-    write_wav(tmp_path / "clip.wav", _lead_and_tail_clip(rate, seed), rate)
+    write_bytes(tmp_path / "clip.wav", wav_bytes(_lead_and_tail_clip(rate, seed), rate))
     fm = wav_to_features(tmp_path / "clip.wav", PipelineConfig())
     assert fm.n_frames == 55  # of 108 frames in the resampled clip
     save_features(fm, tmp_path / "clip.feat")
