@@ -26,11 +26,12 @@ def fuse_utterance(smoothed: np.ndarray, rule: str = "mean"):
     maximum over time, final takes the last row. Argmax ties go to the
     lowest class index.
 
-    kalman.tune_qr_ratio applies the mean rule without keeping the rows: a
-    running row sum from 0.0, divided by T, then argmax (in kalman._tune_means).
-    A change to the mean rule must change that copy too;
-    test_kalman.py's test_streamed_tune_matches_filter_batch_then_fuse holds
-    the two equal.
+    kalman.tune_qr_ratio applies the mean rule to posteriors without keeping
+    the rows: a running row sum from 0.0, divided by T, then argmax (in
+    kalman._tune_means); other batches take the rule's two operations on
+    filter_trajectory's rows. A change to the mean rule must change both
+    copies; test_kalman.py's test_batched_tune_matches_filter_batch_then_fuse
+    and the streamed-tune tests hold them equal.
     """
     smoothed = np.atleast_2d(np.asarray(smoothed, dtype=np.float64))
     if smoothed.size == 0:

@@ -37,19 +37,21 @@ the sum. When the state a, the measurement b and the gain k all lie in
 fl(a + fl(k fl(b - a))) lies in [0, a]; otherwise it is at most
 fl(a + fl(1 - a)), which is at most 1; a renormalised row v/s stays in
 [0, 1]; and no step makes -0.0, which the clamp would turn into 0.0. The
-state starts uniform and every gain lies in [0, 1], so the filter and the
-tune skip the clamp whenever every measurement lies in [0, 1], as every
-posterior does, and clamp otherwise. The choice reads the two reductions
-that also check the input is finite. The zero-sum fallback to the uniform
-row stays on both paths: a row of zeros is in range.
+state starts uniform and every gain lies in [0, 1], so the filter skips
+the clamp whenever every measurement lies in [0, 1], as every posterior
+does, and clamps otherwise. The choice reads the two reductions that also
+check the input is finite. The zero-sum fallback to the uniform row stays
+on both loops: a row of zeros is in range.
 
-Only the q/r tune runs on numpy arrays: every candidate q and every
-trajectory advance together, one time step per set of array calls. The
-batch is sorted by length, longest first, and shrinks as trajectories
-end, so no step is spent on padding; each stretch between two lengths
-works on contiguous copies of the still-active state. The state is held
-class-major, (n_q, dim, n), so the gain multiply runs on a contiguous
-(n_q, dim * n) view and, below 8 classes, the row sum is one add.reduce
+Only the q/r tune runs on numpy, and only on posteriors (renormalisation
+on, under 8 classes, every measurement in [0, 1]): every candidate q and
+every trajectory advance together, one time step per set of array calls,
+with no clamp. Any other batch, or one that meets a zero row sum, goes
+through filter_trajectory. The batch is sorted by length, longest first,
+and shrinks as trajectories end, so no step is spent on padding; each
+stretch between two lengths works on contiguous copies of the still-active
+state. The state is held class-major, (n_q, dim, n), so the gain multiply
+runs on a contiguous (n_q, dim * n) view and the row sum is one add.reduce
 over the class axis. The tune keeps no filtered rows: each trajectory's
 mean row is summed as it goes and fused when its last row is written, by
 the same steps as evaluation.fuse_utterance's mean rule.
@@ -121,13 +123,6 @@ def _finite_nonneg(name: str, value) -> float:
     if not (math.isfinite(number) and number >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {number}")
     return number
-
-
-def _renorm_rows(x: np.ndarray, dim: int) -> np.ndarray:
-    """Project rows onto the probability simplex by clamp-and-rescale."""
-    x = np.clip(x, 0.0, 1.0)
-    s = x.sum(axis=-1, keepdims=True)
-    return np.where(s > 0.0, x / np.where(s > 0.0, s, 1.0), 1.0 / dim)
 
 
 def _as_measurements(m, cfg: KalmanConfig) -> tuple[np.ndarray, bool]:
@@ -267,27 +262,32 @@ def _row_loops(dim: int, clamp: bool):
     return namespace["filter_rows"], namespace["smooth_rows"]
 
 
+def _filtered_means(arrays, cfg: KalmanConfig, qs: list[float]) -> np.ndarray:
+    """_tune_means' result by filter_trajectory and the mean rule, for any batch."""
+    return np.array([[np.add.reduce(filter_trajectory(z, replace(cfg, q=q)).filtered, axis=0)
+                      / len(z) for z in arrays] for q in qs])
+
+
 def _tune_means(measurement_list, cfg: KalmanConfig, qs: list[float]) -> np.ndarray:
     """Each trajectory's mean filtered row under each q, (n_q, B, dim) in input order.
 
-    Checks every trajectory as filter_trajectory does. Trajectories are
-    sorted longest first (stably). Between two consecutive distinct lengths
-    the same trajectories are active, the first n of the order. Each such
-    stretch starts from contiguous copies of their state and running sums,
-    with scratch of that shape, and advances them one time step per set of
-    array calls; on a strided prefix view of the whole batch each call would
-    leave numpy's contiguous fast path. The batch shrinks as trajectories
-    end: no step computes a padded slot. Each q gets its own scalar schedule;
-    the measurements broadcast across the q axis.
+    Checks every trajectory as filter_trajectory does. Only posteriors take
+    the batched recursion below: renormalisation on, under 8 classes, every
+    measurement in [0, 1] (where the clamp cannot act, module docstring) and
+    no zero row sum. Any other batch goes to _filtered_means.
+
+    Trajectories are sorted longest first (stably). Between two consecutive
+    distinct lengths the same trajectories are active, the first n of the
+    order. Each such stretch starts from contiguous copies of their state and
+    running sums, with scratch of that shape, and advances them one time step
+    per set of array calls; on a strided prefix view of the whole batch each
+    call would leave numpy's contiguous fast path. The batch shrinks as
+    trajectories end: no step computes a padded slot. Each q gets its own
+    scalar schedule; the measurements broadcast across the q axis.
 
     The state is class-major, (n_q, dim, n): the gain multiply runs on its
-    contiguous (n_q, dim * n) view, one gain per row of the view, and below
-    8 classes the row sum is one add.reduce over axis 1, which adds the
-    classes left to right from 0.0, as the filter loop's _row_sum does. From
-    8 classes on, the sum runs over the last axis of a row-major copy, where
-    numpy sums pairwise, as _row_sum hands it to add.reduce. The projection
-    clamps to [0, 1] only when some measurement lies outside it; otherwise
-    the clamp cannot change a value (module docstring).
+    contiguous (n_q, dim * n) view, one gain per row of the view, and the row
+    sum, one add.reduce over axis 1, adds left to right as _row_sum does.
 
     No row is kept: each (q, trajectory) keeps a running sum of its rows,
     and when its last row is written the sum divided by its length becomes
@@ -297,7 +297,8 @@ def _tune_means(measurement_list, cfg: KalmanConfig, qs: list[float]) -> np.ndar
     """
     checked = [_as_measurements(m, cfg) for m in measurement_list]
     arrays = [z for z, _ in checked]
-    clamp = not all(in_range for _, in_range in checked)
+    if not (cfg.renormalize and cfg.dim < 8 and all(in_range for _, in_range in checked)):
+        return _filtered_means(arrays, cfg, qs)
     order = sorted(range(len(arrays)), key=lambda i: -arrays[i].shape[0])
     lengths = [arrays[i].shape[0] for i in order]
     t_max, batch, dim, n_q = lengths[0], len(arrays), cfg.dim, len(qs)
@@ -314,30 +315,16 @@ def _tune_means(measurement_list, cfg: KalmanConfig, qs: list[float]) -> np.ndar
         total = np.ascontiguousarray(total[:, :, :active])
         step = np.empty_like(x)
         flat_step = step.reshape(n_q, dim * active)
-        rows = np.empty_like(x) if clamp else x
-        row_major = np.empty((n_q, active, dim)) if dim >= 8 else None
         sums = np.empty((n_q, 1, active))
         for zt, g in zip(zs, gains[t_start:t_end]):
             np.subtract(zt, x, out=step)
             np.multiply(flat_step, g, out=flat_step)
             np.add(x, step, out=x)
-            if cfg.renormalize:
-                # _renorm_rows' projection in place; the function itself runs
-                # only when some row sums to zero
-                if clamp:
-                    np.maximum(x, 0.0, out=rows)
-                    np.minimum(rows, 1.0, out=rows)
-                if row_major is None:
-                    np.add.reduce(rows, axis=1, keepdims=True, out=sums)
-                else:
-                    np.copyto(row_major, rows.transpose(0, 2, 1))
-                    np.add.reduce(row_major, axis=-1, out=sums[:, 0])
-                # not sums.all(): its Python wrapper costs more than the test
-                if np.count_nonzero(sums) == sums.size:
-                    np.divide(rows, sums, out=x)
-                else:
-                    x_row_major = np.ascontiguousarray(x.transpose(0, 2, 1))
-                    x[...] = _renorm_rows(x_row_major, dim).transpose(0, 2, 1)
+            np.add.reduce(x, axis=1, keepdims=True, out=sums)
+            # not sums.all(): its Python wrapper costs more than the test
+            if np.count_nonzero(sums) < sums.size:
+                return _filtered_means(arrays, cfg, qs)
+            np.divide(x, sums, out=x)
             np.add(total, x, out=total)
         ending = lengths.count(t_end)
         np.divide(total[:, :, active - ending:], t_end, out=fused[:, :, active - ending:active])
@@ -464,11 +451,12 @@ def tune_qr_ratio(measurement_list, labels, cfg: KalmanConfig,
                   ratios=DEFAULT_RATIO_GRID) -> TuneResult:
     """Grid-search q as ratio*r (r held fixed) by fused utterance accuracy.
 
-    Every candidate runs in one pass of the batched recursion, which keeps
-    only each trajectory's mean row; the decision is its argmax, exactly as
-    fuse_utterance's mean rule on filter_batch's rows. The score is always
-    mean fusion, whatever rule the caller later fuses with. Ties between
-    ratios go to the smaller ratio, i.e. the more smoothed filter.
+    On posteriors every candidate runs in one pass of the batched recursion,
+    which keeps only each trajectory's mean row; any other batch is filtered
+    trajectory by trajectory (_tune_means). The decision is the mean row's
+    argmax, exactly as fuse_utterance's mean rule on filter_batch's rows. The
+    score is always mean fusion, whatever rule the caller later fuses with.
+    Ties between ratios go to the smaller ratio, i.e. the more smoothed filter.
     """
     labels = np.asarray(labels, dtype=np.intp)
     if len(labels) != len(measurement_list):

@@ -31,7 +31,8 @@ def write_bytes(path: str | Path, data: bytes) -> None:
 
     The bytes go to .<name>.<pid>.tmp beside path, which os.replace then
     renames over it, so a failed write leaves the old file and no temporary
-    one. A plain open, not mkstemp, so the file gets the umask's permissions.
+    one, and its OSError names path, not the temporary file. A plain open,
+    not mkstemp, so the file gets the umask's permissions.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -39,8 +40,10 @@ def write_bytes(path: str | Path, data: bytes) -> None:
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -495,6 +495,24 @@ def test_corrupt_feature_file_is_a_runtime_error(cli_ws, tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "trajectory"])
+def test_write_into_a_missing_directory_names_the_target(cli_ws, tmp_path, monkeypatch, capsys,
+                                                         command):
+    """A write that fails exits 1 naming the file asked for, not the
+    temporary file it is written through, and leaves no temporary file."""
+    monkeypatch.chdir(tmp_path)
+    inputs = {"train": [str(cli_ws["manifest"]), "--features", str(cli_ws["features"]),
+                        "--out", "nodir/m.ckpt", "--epochs", "0"],
+              "trajectory": [str(sorted(cli_ws["audio"].glob("*.wav"))[0]),
+                             "--checkpoint", str(cli_ws["ckpt"]), "--out", "nodir/t.csv"]}
+    rc = main([command, *inputs[command]])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory: 'nodir/")
+    assert ".tmp" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 @pytest.fixture(scope="module")
 def run_ws(cli_ws, tmp_path_factory):
     """`kftser run` on the cli_ws manifest with the seed and epochs cli_ws trained at."""

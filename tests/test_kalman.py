@@ -421,15 +421,24 @@ class TestZeroSumProjection:
 
     @staticmethod
     def _count_fallbacks(monkeypatch):
+        """Record the batch size of every tune batch that leaves the batched
+        recursion for _filtered_means, the per-trajectory exact path."""
         calls = []
-        original = kalman._renorm_rows
+        original = kalman._filtered_means
 
-        def counted(x, dim):
-            calls.append(x.shape)
-            return original(x, dim)
+        def counted(arrays, cfg, qs):
+            calls.append(len(arrays))
+            return original(arrays, cfg, qs)
 
-        monkeypatch.setattr(kalman, "_renorm_rows", counted)
+        monkeypatch.setattr(kalman, "_filtered_means", counted)
         return calls
+
+    @staticmethod
+    def _assert_means_match_filter_then_fuse(trajs, cfg, qs):
+        """_tune_means' mean rows equal fuse_utterance's on filter_batch's rows."""
+        for q_k, fused_k in zip(qs, kalman._tune_means(trajs, cfg, qs)):
+            want = [fuse_utterance(m)[1] for m in filter_batch(trajs, replace(cfg, q=q_k))]
+            assert fused_k.tobytes() == np.array(want).tobytes()
 
     @staticmethod
     def _bad_rows(rng, n, dim):
@@ -460,13 +469,13 @@ class TestZeroSumProjection:
 
     def test_probability_rows_never_fall_back(self, monkeypatch):
         """A convex step from a simplex row to a probability row stays on the
-        simplex, so the projection's zero-sum fallback is unreachable on noisy
-        Dirichlet rows and on softmax rows, even at ratios 0 and 100."""
+        simplex, so noisy Dirichlet rows and softmax rows never leave the
+        batched recursion for the exact path, even at ratios 0 and 100."""
 
-        def unreachable(x, dim):
-            raise AssertionError("zero-sum fallback reached on probability rows")
+        def unreachable(arrays, cfg, qs):
+            raise AssertionError("probability rows left the batched recursion")
 
-        monkeypatch.setattr(kalman, "_renorm_rows", unreachable)
+        monkeypatch.setattr(kalman, "_filtered_means", unreachable)
         rng = np.random.default_rng(3)
         model = init_model(seed=3)
         trajs, labels = synth_noisy_trajectories(12, 60, flip_prob=0.6, seed=3)
@@ -519,7 +528,7 @@ class TestZeroSumProjection:
         for batch in (trajs, trajs[2:3]):  # mixed lengths, then a single trajectory
             calls.clear()
             res = tune_qr_ratio(batch, labels[: len(batch)], cfg, ratios=ratios)
-            assert bool(calls) == renorm
+            assert calls  # rows that clamp take the exact path
             fused = kalman._tune_means(batch, cfg, qs)
             want = {}
             for ratio, q_k, fused_k in zip(ratios, qs, fused):
@@ -538,10 +547,10 @@ class TestZeroSumProjection:
     @pytest.mark.parametrize("dim", range(1, 13))
     def test_streamed_tune_matches_filter_batch_then_fuse_in_range(self, monkeypatch, rng, dim,
                                                                    q, r, renorm):
-        """The same equality on rows in [0, 1], which the tune projects without
-        the clamp: uniform, Dirichlet and all-zero rows. Ratio 1e301 makes the
-        gain exactly 1, so an all-zero row zeroes the state and falls back to
-        the uniform row on the clamp-free path too."""
+        """The same equality on rows in [0, 1]: uniform, Dirichlet and all-zero
+        rows. Ratio 1e301 makes the gain exactly 1, so an all-zero row zeroes
+        the state, and the zero row sum sends the batch to the exact path, as
+        renormalisation off and dim >= 8 do."""
         calls = self._count_fallbacks(monkeypatch)
         cfg = KalmanConfig(dim=dim, q=q, r=r, renormalize=renorm)
         ratios = [q / r, 1.0, 1e301]
@@ -554,7 +563,7 @@ class TestZeroSumProjection:
         trajs[1][0] = 0.0  # so every batch holds an all-zero row
         labels = rng.integers(0, dim, size=len(trajs))
         res = tune_qr_ratio(trajs, labels, cfg, ratios=ratios)
-        assert bool(calls) == renorm
+        assert calls
         fused = kalman._tune_means(trajs, cfg, qs)
         want = {}
         for ratio, q_k, fused_k in zip(ratios, qs, fused):
@@ -565,6 +574,42 @@ class TestZeroSumProjection:
             want[ratio] = float(np.mean(np.array([label for label, _ in decisions]) == labels))
         best = max(ratios, key=lambda ratio: (want[ratio], -ratio))
         assert res == TuneResult(best_ratio=best, best_q=best * r, accuracies=want)
+
+    @pytest.mark.parametrize("dim", range(2, 8))
+    def test_batched_tune_matches_filter_batch_then_fuse(self, monkeypatch, rng, dim):
+        """Dirichlet and uniform rows in [0, 1], edge values and all-zero rows
+        included, at every width the batched recursion takes and at ratios that
+        never make the gain 1: no batch leaves it, and its mean rows equal
+        fuse_utterance's on filter_batch's rows byte for byte."""
+        calls = self._count_fallbacks(monkeypatch)
+        cfg = KalmanConfig(dim=dim, r=0.1)
+        ratios = (0.0, 1e-4, 1e-2, 1.0, 100.0)
+        qs = [ratio * cfg.r for ratio in ratios]
+        trajs = []
+        for i, t in enumerate((17, 1, 60, 5, 5, 5, 2, 110, 33)):
+            z = rng.uniform(0.0, 1.0, size=(t, dim)) if i % 2 else rng.dirichlet(np.ones(dim), t)
+            z[rng.uniform(size=t) < 0.1] = 0.0
+            z[rng.uniform(size=z.shape) < 0.05] = rng.choice(_EDGE_VALUES)
+            trajs.append(z)
+        self._assert_means_match_filter_then_fuse(trajs, cfg, qs)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["out_of_range", "dim_8", "renormalize_off", "zero_sum"])
+    def test_dispatch_to_the_exact_path(self, monkeypatch, rng, case):
+        """Each batch the batched recursion does not serve goes whole to the
+        exact path, with the bytes of filter_batch then fuse_utterance."""
+        calls = self._count_fallbacks(monkeypatch)
+        dim = 8 if case == "dim_8" else 4
+        cfg = KalmanConfig(dim=dim, r=0.1, renormalize=case != "renormalize_off")
+        ratios = (1e-2, 1e301) if case == "zero_sum" else (1e-2, 1.0)
+        qs = [ratio * cfg.r for ratio in ratios]
+        trajs = [rng.dirichlet(np.ones(dim), size=t) for t in (9, 14, 6)]
+        if case == "out_of_range":
+            trajs[1][7, 2] = 1.0 + 2.0**-52
+        if case == "zero_sum":
+            trajs[2][3] = 0.0
+        self._assert_means_match_filter_then_fuse(trajs, cfg, qs)
+        assert calls == [len(trajs)]
 
     def test_tune_holds_no_padded_output(self):
         """40 trajectories of 44 to 453 frames through the 5-ratio grid: the old
@@ -636,9 +681,10 @@ class TestClampFreePath:
 
     @pytest.mark.parametrize("bad", [1.0 + 2.0**-52, -5e-324, 2.0, -100.0])
     def test_one_entry_out_of_range_runs_the_clamping_path(self, monkeypatch, rng, bad):
-        """The filter and the tune both clamp a batch with one entry outside [0, 1].
-        At r = 0 the state takes each row, so at 2.0 and -100.0 skipping the
-        clamp would move the mean rows; a clamp of one ulp leaves them as they are."""
+        """The filter clamps a trajectory with one entry outside [0, 1], and the
+        tune hands the batch to the exact path. At r = 0 the state takes each
+        row, so at 2.0 and -100.0 skipping the clamp would move the mean rows;
+        a clamp of one ulp leaves them as they are."""
         choices = _loop_choices(monkeypatch)
         cfg = KalmanConfig(q=1e-3, r=0.0)
         trajs = [rng.dirichlet(np.ones(4), size=t) for t in (9, 14, 6)]
