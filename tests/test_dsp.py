@@ -26,7 +26,7 @@ from kftser.dsp import (
 from kftser.config import PipelineConfig
 from kftser.errors import DecodeError
 from kftser.features import save_features
-from kftser.manifest import write_bytes
+from kftser.manifest import generate_synthetic_dataset, write_bytes
 from kftser.pipeline import wav_to_features
 
 
@@ -161,6 +161,21 @@ class TestDecodeWav:
         assert hashes == [
             "080bfb387bda98ae3ee888be52fa39802cb08111eb96902f659afa15c9d8ab3f",
             "0b4f67f4327348e730de3e7247caa511f8dd280bb0e8230f4f632e067e6fc59c",
+        ]
+
+    def test_synthetic_22050_hz_features_match_golden_bytes(self, tmp_path):
+        """.feat bytes are pinned at the pipeline's own rate, where the clip is
+        trimmed and extracted without resampling."""
+        manifest = generate_synthetic_dataset(tmp_path / "audio", per_class=1, seed=0)
+        hashes = []
+        for rec in manifest.records:
+            save_features(wav_to_features(rec.file_path, PipelineConfig()), tmp_path / "clip.feat")
+            hashes.append(hashlib.sha256((tmp_path / "clip.feat").read_bytes()).hexdigest())
+        assert hashes == [
+            "53f26b3d55890a212b1f040577160e7284f07b3eef263ea76e207e19cefbe6fd",
+            "04e645be9d15e12063616a494d99396759430a602384a2b73478d04f7a34a948",
+            "e80a51839c3abeb672edd242b87ed5147868b7df95f9c1e1ca0a10def3c997f7",
+            "0705f4a647f5cfa1b1fd1fadcdd0e65844ac2ee6197c7ec147fa644f25e6ebd3",
         ]
 
 
