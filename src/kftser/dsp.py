@@ -148,7 +148,7 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     if clip.sample_rate == target_rate:
         return clip
-    # scipy.signal is most of the cost of importing kftser, and only resampling uses it
+    # imported here so that only a clip that needs resampling pays for scipy.signal
     from scipy.signal import resample_poly
 
     g = math.gcd(clip.sample_rate, target_rate)
@@ -283,10 +283,14 @@ def padded_signal(clip: AudioClip, cfg: FramingConfig) -> np.ndarray:
 
 
 def frame_view(signal: np.ndarray, cfg: FramingConfig) -> np.ndarray:
-    """Read-only (T, frame_length) strided view of a padded 1-D signal; row t
-    starts at sample t * hop. Nothing is copied.
+    """Read-only (T, frame_length) view of a padded 1-D signal, built by one
+    as_strided call; row t starts at sample t * hop, T = (len - frame_length)
+    // hop + 1. Nothing is copied.
     """
-    return np.lib.stride_tricks.sliding_window_view(signal, cfg.frame_length)[:: cfg.hop_length]
+    n_frames = (len(signal) - cfg.frame_length) // cfg.hop_length + 1
+    step = signal.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        signal, (n_frames, cfg.frame_length), (cfg.hop_length * step, step), writeable=False)
 
 
 def frame_rms(padded: np.ndarray, cfg: FramingConfig) -> np.ndarray:

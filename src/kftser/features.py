@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import dct
 
 from .dsp import AudioClip, FramingConfig, frame_rms, frame_view, padded_signal
 from .errors import FeatureFileError
@@ -104,7 +103,8 @@ def mel_energies(frames: np.ndarray, fb: MelFilterbank) -> np.ndarray:
     if frames.ndim not in (1, 2) or frames.shape[-1] != fb.n_fft:
         raise ValueError(f"frames of shape {frames.shape} do not end in filterbank n_fft {fb.n_fft}")
     spectrum = np.fft.rfft(frames * _hann(fb.n_fft), axis=-1)
-    power = spectrum.real**2 + spectrum.imag**2
+    power = np.square(spectrum.real)
+    power += np.square(spectrum.imag)
     # One matrix-vector product per frame: a single (T, n_bins) @ (n_bins,
     # n_filters) product sums in a different order and changes feature bits.
     return np.matmul(fb.filters, power[..., None])[..., 0]
@@ -114,6 +114,9 @@ def compute_mfcc(frames: np.ndarray, fb: MelFilterbank, log_floor: float = 1e-10
     """First N_MFCC coefficients of the orthonormal DCT-II of the log mel
     energies, per frame along the last axis (see mel_energies).
     """
+    # imported on first use: loading scipy.fft would take most of kftser's import time
+    from scipy.fft import dct
+
     logged = np.log(mel_energies(frames, fb) + log_floor)
     return dct(logged, type=2, norm="ortho", axis=-1)[..., :N_MFCC]
 
@@ -129,8 +132,9 @@ def compute_delta(coeffs: np.ndarray, width: int = 9) -> np.ndarray:
     if width < 3 or width % 2 == 0:
         raise ValueError(f"width must be odd and >= 3, got {width}")
     half = (width - 1) // 2
-    padded = np.pad(coeffs, ((half, half), (0, 0)), mode="edge")
     t = coeffs.shape[0]
+    # row half + i of padded is coeffs[clip(i, 0, t - 1)]: the edge rows replicated
+    padded = coeffs[np.clip(np.arange(-half, t + half), 0, t - 1)]
     num = np.zeros_like(coeffs)
     for n in range(1, half + 1):
         num += n * (padded[half + n : half + n + t] - padded[half - n : half - n + t])
@@ -154,14 +158,17 @@ def compute_zcr(frame: np.ndarray) -> float:
 
 
 def _frame_zcr(padded: np.ndarray, cfg: FramingConfig) -> np.ndarray:
-    """compute_zcr of every frame: sign changes counted once over the padded
-    signal, each frame's count the difference of a running total at its ends.
+    """compute_zcr of every frame: sign changes marked once over the padded
+    signal, then counted per frame on frame_view of the marks.
+
+    Mark i is a change between samples i and i + 1, so frame t's pairs are
+    marks t * hop .. t * hop + frame_length - 2: its row of frame_view less
+    the last column. The mark after the last sample pairs nothing and is False.
     """
     nonneg = padded >= 0
-    running = np.zeros(len(padded), dtype=np.int64)
-    np.cumsum(nonneg[1:] != nonneg[:-1], out=running[1:])
-    starts = np.arange(0, len(padded) - cfg.frame_length + 1, cfg.hop_length)
-    return (running[starts + cfg.frame_length - 1] - running[starts]) / (cfg.frame_length - 1)
+    changes = np.zeros(len(padded), dtype=bool)
+    np.not_equal(nonneg[1:], nonneg[:-1], out=changes[:-1])
+    return np.count_nonzero(frame_view(changes, cfg)[:, :-1], axis=1) / (cfg.frame_length - 1)
 
 
 @dataclass
@@ -203,13 +210,14 @@ def extract_features(
         raise ValueError(f"frame_length {cfg.frame_length} != filterbank n_fft {fb.n_fft}")
 
     padded = padded_signal(clip, cfg)
-    mfcc = compute_mfcc(frame_view(padded, cfg), fb, log_floor=log_floor)
-    delta = compute_delta(mfcc, delta_width)
-    deltadelta = compute_delta(delta, delta_width)
-    rmse = frame_rms(padded, cfg)
-    zcr = _frame_zcr(padded, cfg)
-
-    rows = np.hstack([mfcc, delta, deltadelta, rmse[:, None], zcr[:, None]])
+    frames = frame_view(padded, cfg)
+    rows = np.empty((frames.shape[0], N_FEATURES))
+    mfcc, delta, deltadelta = (rows[:, k * N_MFCC : (k + 1) * N_MFCC] for k in range(3))
+    mfcc[:] = compute_mfcc(frames, fb, log_floor=log_floor)
+    delta[:] = compute_delta(mfcc, delta_width)
+    deltadelta[:] = compute_delta(delta, delta_width)
+    rows[:, -2] = frame_rms(padded, cfg)
+    rows[:, -1] = _frame_zcr(padded, cfg)
     return FeatureMatrix(rows=rows, utterance_id=utterance_id)
 
 

@@ -193,6 +193,19 @@ class TestResample:
                               env=child_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_importing_kftser_loads_no_scipy(self, child_env):
+        code = (
+            "import sys, numpy as np, kftser, kftser.cli\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n"
+            "from kftser.features import build_mel_filterbank, compute_mfcc\n"
+            "assert compute_mfcc(np.zeros(2048), build_mel_filterbank()).shape == (13,)\n"
+            "assert 'scipy.fft' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_matching_rate_is_identity(self):
         clip = AudioClip(np.ones(100), 22050)
         assert resample(clip, 22050) is clip

@@ -168,6 +168,12 @@ class TestDelta:
         rhs = a * compute_delta(coeffs, width=5) + b * compute_delta(other, width=5)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
+    @pytest.mark.parametrize("width", [3, 5, 9, 11])
+    def test_matches_edge_padded_reference(self, rng, width):
+        for t in range(1, 3 * width):
+            coeffs = rng.normal(size=(t, 3))
+            assert compute_delta(coeffs, width).tobytes() == _reference_delta(coeffs, width).tobytes()
+
     def test_width_validation(self):
         coeffs = np.zeros((5, 2))
         for bad in (2, 4, 1, -3):
@@ -296,11 +302,22 @@ def _reference_trim(clip, threshold_db, cfg):
     return clip.samples[first * cfg.hop_length : end]
 
 
+def _reference_delta(coeffs, width=9):
+    """compute_delta with np.pad replicating the edge rows, then the regression sum."""
+    half = (width - 1) // 2
+    padded = np.pad(coeffs, ((half, half), (0, 0)), mode="edge")
+    t = len(coeffs)
+    num = np.zeros_like(coeffs)
+    for n in range(1, half + 1):
+        num += n * (padded[half + n : half + n + t] - padded[half - n : half - n + t])
+    return num / (2.0 * sum(n * n for n in range(1, half + 1)))
+
+
 def _reference_rows(clip, cfg, fb):
     frames = _copied_frames(clip.samples, cfg)
     mfcc = compute_mfcc(frames, fb)
-    delta = compute_delta(mfcc)
-    return np.hstack([mfcc, delta, compute_delta(delta),
+    delta = _reference_delta(mfcc)
+    return np.hstack([mfcc, delta, _reference_delta(delta),
                       _reference_rms(frames)[:, None], _reference_zcr(frames)[:, None]])
 
 
