@@ -283,9 +283,9 @@ def padded_signal(clip: AudioClip, cfg: FramingConfig) -> np.ndarray:
 
 
 def frame_view(signal: np.ndarray, cfg: FramingConfig) -> np.ndarray:
-    """Read-only (T, frame_length) view of a padded 1-D signal, built by one
-    as_strided call; row t starts at sample t * hop, T = (len - frame_length)
-    // hop + 1. Nothing is copied.
+    """Read-only (T, frame_length) strided view of a padded 1-D signal; row t
+    starts at sample t * hop and T = (len - frame_length) // hop + 1. Nothing
+    is copied.
     """
     n_frames = (len(signal) - cfg.frame_length) // cfg.hop_length + 1
     step = signal.strides[0]

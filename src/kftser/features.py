@@ -133,7 +133,7 @@ def compute_delta(coeffs: np.ndarray, width: int = 9) -> np.ndarray:
         raise ValueError(f"width must be odd and >= 3, got {width}")
     half = (width - 1) // 2
     t = coeffs.shape[0]
-    # row half + i of padded is coeffs[clip(i, 0, t - 1)]: the edge rows replicated
+    # each end's edge row replicated half times
     padded = coeffs[np.clip(np.arange(-half, t + half), 0, t - 1)]
     num = np.zeros_like(coeffs)
     for n in range(1, half + 1):
