@@ -469,6 +469,35 @@ def test_training_artifacts_match_golden_bytes(tmp_path, dims, n_rows, epochs, w
     assert _golden_hashes(tmp_path, dims, n_rows, epochs) == want
 
 
+def _trace_sha256(trace):
+    text = repr([*trace.losses, *trace.accuracies])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n_rows, want_ckpt, want_trace", [
+    # fewer rows than one 256-row scoring block
+    (100, "5776b7c9f535aec286aa2126cce9fa645aa26eff51dc9d1081ed4cb48949560f",
+     "7cfb9a5dd44b66abe069afbcc136bc3aac8222a3199077f5b229af5acb15ea31"),
+    # one full 256-row scoring block plus a remainder of 44
+    (300, "6b31553edb9e7a00722275b6546b0b41d7d17269cc6f79b8009be4ee210b5fc4",
+     "55708bb434982a4c5dafc046c375d0dab7aafd432d10c3fafc1fba951770efa5"),
+])
+def test_scored_training_matches_golden_bytes(tmp_path, n_rows, want_ckpt, want_trace):
+    """The checkpoint and every per-epoch loss and accuracy are pinned for row
+    counts on both sides of a scoring block."""
+    rng = np.random.default_rng(23)
+    rows = 2.0 * rng.normal(size=(n_rows, DEFAULT_LAYER_DIMS[0])) + 0.5
+    labels = rng.integers(0, DEFAULT_LAYER_DIMS[-1], n_rows)
+    rows[:, 0] += labels  # learnable, so the accuracy moves from epoch to epoch
+    stats = ScalerStats(mean=rows.mean(axis=0), std=rows.std(axis=0))
+    model, trace = train(init_model(seed=5, scaler=stats), rows, labels,
+                         TrainConfig(epochs=3, seed=5))
+    save_checkpoint(model, tmp_path / "model.ckpt")
+    assert len(trace.accuracies) == 3
+    assert hashlib.sha256((tmp_path / "model.ckpt").read_bytes()).hexdigest() == want_ckpt
+    assert _trace_sha256(trace) == want_trace
+
+
 @pytest.fixture
 def two_blas_threads():
     """OpenBLAS set to two threads for the test, then back; yields its getter."""
