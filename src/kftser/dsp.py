@@ -206,12 +206,14 @@ def resample_trimmed(
     # output m reads inputs n with |m * down - n * up| <= half
     lo = np.maximum(0, -((half - starts * down) // up))
     hi = np.minimum(n_in, ((ends - 1) * down + half) // up + 1)
-    # reduceat over (lo, hi) pairs: entry 2t is the max over inputs [lo_t, hi_t). Its
-    # indices must be < n_in, so frames that read the last input take it separately.
-    magnitude = np.abs(clip.samples)
+    # reduceat over (lo, hi) pairs: entry 2t reduces inputs [lo_t, hi_t). Its indices
+    # must be < n_in, so frames that read the last input take it separately. The
+    # largest |x| is the larger of max(x) and -min(x), with no |x| copy of the clip.
     last = hi == n_in
-    peaks = np.maximum.reduceat(magnitude, np.column_stack([lo, hi - last]).ravel())[::2]
-    peaks[last] = np.maximum(peaks[last], magnitude[-1])
+    pairs = np.column_stack([lo, hi - last]).ravel()
+    peaks = np.maximum(np.maximum.reduceat(clip.samples, pairs)[::2],
+                       -np.minimum.reduceat(clip.samples, pairs)[::2])
+    peaks[last] = np.maximum(peaks[last], abs(clip.samples[-1]))
     bound = peaks * (_phase_gain(up, down) * (1.0 + 1e-9))  # slack for rounding
     loudest = int(bound.argmax())
     if not np.isfinite(bound[loudest]):

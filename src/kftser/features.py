@@ -29,6 +29,9 @@ FEATURE_FILE_MAGIC = b"KFTSER01"
 
 _SCALER_EPS = 1e-8
 
+# frames per pass of mel_energies: its spectrum buffers stay this size, whatever T
+MEL_BLOCK = 8
+
 
 def hz_to_mel(f):
     """2595 * log10(1 + f/700); strictly increasing from 0."""
@@ -87,27 +90,45 @@ def build_mel_filterbank(
 
 
 @functools.lru_cache(maxsize=8)
-def _hann(n: int) -> np.ndarray:
+def _hann_rows(n: int) -> np.ndarray:
+    """MEL_BLOCK copies of the length-n Hann window, one per row: multiplying a
+    block by it needs no broadcast, which numpy would run through a buffer."""
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-    window.setflags(write=False)
-    return window
+    rows = np.tile(window, (MEL_BLOCK, 1))
+    rows.setflags(write=False)
+    return rows
 
 
 def mel_energies(frames: np.ndarray, fb: MelFilterbank) -> np.ndarray:
     """Hann-windowed power spectra folded through the filterbank.
 
     frames is one (n_fft,) frame or a (T, n_fft) block; frames run along
-    the last axis and the result has shape (..., n_filters).
+    the last axis and the result has shape (..., n_filters). Frames go
+    through MEL_BLOCK at a time in buffers reused from block to block, so
+    the working memory besides the result does not grow with T.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim not in (1, 2) or frames.shape[-1] != fb.n_fft:
         raise ValueError(f"frames of shape {frames.shape} do not end in filterbank n_fft {fb.n_fft}")
-    spectrum = np.fft.rfft(frames * _hann(fb.n_fft), axis=-1)
-    power = np.square(spectrum.real)
-    power += np.square(spectrum.imag)
-    # One matrix-vector product per frame: a single (T, n_bins) @ (n_bins,
-    # n_filters) product sums in a different order and changes feature bits.
-    return np.matmul(fb.filters, power[..., None])[..., 0]
+    rows = np.atleast_2d(frames)
+    n_bins = fb.n_fft // 2 + 1
+    size = min(len(rows), MEL_BLOCK)
+    windowed, spectrum = np.empty((size, fb.n_fft)), np.empty((size, n_bins), dtype=np.complex128)
+    power, imag_sq = np.empty((size, n_bins)), np.empty((size, n_bins))
+    energies = np.empty((len(rows), fb.n_filters))
+    hann = _hann_rows(fb.n_fft)
+    for start in range(0, len(rows), MEL_BLOCK):
+        k = min(MEL_BLOCK, len(rows) - start)
+        np.copyto(windowed[:k], rows[start : start + k])
+        windowed[:k] *= hann[:k]
+        np.fft.rfft(windowed[:k], axis=-1, out=spectrum[:k])
+        np.square(spectrum[:k].real, out=power[:k])
+        power[:k] += np.square(spectrum[:k].imag, out=imag_sq[:k])
+        # One matrix-vector product per frame: a single (k, n_bins) @ (n_bins,
+        # n_filters) product sums in a different order and changes feature bits.
+        np.matmul(fb.filters, power[:k, :, None],
+                  out=energies[start : start + k].reshape(k, fb.n_filters, 1))
+    return energies if frames.ndim == 2 else energies[0]
 
 
 def compute_mfcc(frames: np.ndarray, fb: MelFilterbank, log_floor: float = 1e-10) -> np.ndarray:
@@ -237,8 +258,9 @@ def fit_scaler(rows: np.ndarray) -> ScalerStats:
 
 
 def apply_scaler(rows: np.ndarray, stats: ScalerStats) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    return (rows - stats.mean) / np.maximum(stats.std, _SCALER_EPS)
+    scaled = np.asarray(rows, dtype=np.float64) - stats.mean
+    scaled /= np.maximum(stats.std, _SCALER_EPS)  # in place: one full-size array, not two
+    return scaled
 
 
 def save_features(fm: FeatureMatrix, path: str | Path) -> None:

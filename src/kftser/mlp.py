@@ -26,6 +26,9 @@ DEFAULT_LAYER_DIMS = (N_FEATURES, 256, 128, 4)
 CHECKPOINT_MAGIC = b"KFTSERML"
 CHECKPOINT_VERSION = 1
 
+# rows per forward pass of the epoch scorer: its buffers stay this size, whatever n
+SCORE_BLOCK = 256
+
 
 def _shapes(dims) -> list[tuple[int, ...]]:
     """Parameter shapes in checkpoint order: every weight, then every bias."""
@@ -274,8 +277,16 @@ def _one_blas_thread():
 
 def _frame_accuracy(model: MlpModel, rows: np.ndarray, labels: np.ndarray,
                     out: list[np.ndarray]) -> float:
-    logits, _ = forward_trace(model, rows, out)
-    return float(np.mean(logits.argmax(axis=1) == labels))
+    """Fraction of rows whose argmax logit is their label, scored SCORE_BLOCK
+    rows at a time into `out`, one (SCORE_BLOCK, d) array per layer output.
+    The last block writes the leading rows of out."""
+    correct = 0
+    for start in range(0, len(rows), SCORE_BLOCK):
+        block = rows[start : start + SCORE_BLOCK]
+        logits, _ = forward_trace(model, block, [o[: len(block)] for o in out])
+        hits = logits.argmax(axis=1) == labels[start : start + len(block)]
+        correct += int(np.count_nonzero(hits))
+    return correct / len(rows)
 
 
 def train(model: MlpModel, rows: np.ndarray, labels: np.ndarray,
@@ -288,7 +299,9 @@ def train(model: MlpModel, rows: np.ndarray, labels: np.ndarray,
 
     BLAS runs on one thread here. Each epoch's full-set accuracy is scored
     on a worker thread from a copy of the parameters taken at the end of
-    that epoch, while this thread trains the next one.
+    that epoch, while this thread trains the next one. Scoring runs in
+    SCORE_BLOCK-row blocks; only the scaled copy of rows, its finiteness
+    check and each epoch's permutation grow with the row count.
     """
     cfg = cfg or TrainConfig()
     rows = np.asarray(rows, dtype=np.float64)
@@ -307,7 +320,7 @@ def train(model: MlpModel, rows: np.ndarray, labels: np.ndarray,
     n, size = len(rows), cfg.batch_size
     grad = np.empty_like(model.params)
     spaces = {b: _Workspace(model, b, grad) for b in {min(size, n), n % size} - {0}}
-    full_out = [np.empty((n, d)) for d in model.layer_dims[1:]]
+    score_out = [np.empty((min(n, SCORE_BLOCK), d)) for d in model.layer_dims[1:]]
     snapshot = MlpModel(layer_dims=model.layer_dims, params=np.empty_like(model.params))
 
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as scorer:
@@ -327,11 +340,11 @@ def train(model: MlpModel, rows: np.ndarray, labels: np.ndarray,
                 epoch_loss += float(np.mean(lse - ws.shifted[ws.rows, ws.labels])) * len(idx)
                 adam_step(model, grad, state, cfg)
             trace.losses.append(epoch_loss / n)
-            # the snapshot and full_out are reused only once the last pass is read
+            # the snapshot and score_out are reused only once the last pass is read
             if scored is not None:
                 trace.accuracies.append(scored.result())
             np.copyto(snapshot.params, model.params)
-            scored = scorer.submit(_frame_accuracy, snapshot, rows, labels, full_out)
+            scored = scorer.submit(_frame_accuracy, snapshot, rows, labels, score_out)
         if scored is not None:
             trace.accuracies.append(scored.result())
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,22 @@ import kftser
 from kftser.config import PipelineConfig
 from kftser.manifest import generate_synthetic_dataset, split_manifest
 from kftser import pipeline
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn): the most bytes fn held at once beyond what was held before,
+    as tracemalloc counts them. numpy reports every array buffer to it, so
+    the count does not depend on what the C allocator does with freed memory."""
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+    return peak
 
 
 @pytest.fixture(scope="session")

@@ -362,6 +362,22 @@ class TestResampleTrimmed:
         clip = AudioClip(samples, src)
         assert _same_bytes(resample_trimmed(clip, dst), trim_silence(resample(clip, dst)))
 
+    @pytest.mark.parametrize("loud_end", ["negative-run", "negative-click"])
+    @pytest.mark.parametrize("src", [48000, 44100])
+    def test_negative_peak_in_the_frames_that_read_the_last_sample(self, src, loud_end):
+        """The clip's largest magnitude is its last sample, which is negative.
+        Before it sits a loud all-negative run (the peak search needs -min(x)
+        there) or silence (frames that read the last sample need its |x|)."""
+        rng = np.random.default_rng(5)
+        x = 0.002 * rng.normal(size=src // 2)
+        if loud_end == "negative-run":
+            x[-3000:] = -0.5 - 0.3 * rng.random(3000)
+        else:
+            x[-20000:] = 0.0
+        x[-1] = -0.95
+        clip = AudioClip(x, src)
+        assert _same_bytes(resample_trimmed(clip, 22050), trim_silence(resample(clip, 22050)))
+
     def test_resamples_only_the_span_the_trim_can_keep(self, monkeypatch):
         read = []
 

@@ -133,6 +133,45 @@ class TestMfcc:
         np.testing.assert_array_equal(block_mfcc, np.stack([compute_mfcc(f, fb) for f in frames]))
 
 
+def _whole_array_mel(frames, fb):
+    """mel_energies over every frame in one pass: one window product, one rfft,
+    then one filterbank product per frame."""
+    n = fb.n_fft
+    spectrum = np.fft.rfft(frames * (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)), axis=-1)
+    power = np.square(spectrum.real)
+    power += np.square(spectrum.imag)
+    return np.matmul(fb.filters, power[..., None])[..., 0]
+
+
+class TestMelBlocks:
+    @pytest.mark.parametrize("n_frames", [1, 7, 8, 9, 16, 17, 44])
+    def test_block_boundaries_match_the_whole_array_formula(self, rng, n_frames):
+        fb = build_mel_filterbank()
+        cfg = FramingConfig()
+        signal = rng.normal(size=(n_frames - 1) * cfg.hop_length + cfg.frame_length)
+        for frames in (frame_view(signal, cfg), rng.normal(size=(n_frames, fb.n_fft))):
+            got, want = mel_energies(frames, fb), _whole_array_mel(frames, fb)
+            assert got.shape == want.shape == (n_frames, fb.n_filters)
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_frame_vector_matches_the_whole_array_formula(self, rng):
+        fb = build_mel_filterbank()
+        frame = rng.normal(size=fb.n_fft)
+        got, want = mel_energies(frame, fb), _whole_array_mel(frame, fb)
+        assert got.shape == want.shape == (fb.n_filters,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_does_not_grow_with_the_frame_count(self, rng, traced_peak):
+        fb = build_mel_filterbank()
+        frames = rng.normal(size=(400, fb.n_fft))
+        mel_energies(frames, fb)  # builds and caches the Hann window
+        peak = traced_peak(lambda: mel_energies(frames, fb))
+        # Measured: the (400, 40) result plus 395,792 bytes, nearly all of it the
+        # four 8-frame buffers (393,472 bytes). The bound allows 26 % over that;
+        # the whole-array form held 13.1 MB.
+        assert peak < frames.shape[0] * fb.n_filters * 8 + 500_000
+
+
 class TestDelta:
     def test_constant_sequence_gives_zero(self):
         coeffs = np.full((20, 3), 7.5)
