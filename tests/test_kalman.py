@@ -874,26 +874,59 @@ def test_per_trajectory_outputs_match_golden_bytes(tmp_path, t_steps, renorm, wa
     assert got == want
 
 
+def _zero_rows_and_edges(z, rng):
+    """z with about a tenth of its rows set to zeros and about one entry in
+    twenty set to one of _EDGE_VALUES, in place; every entry stays in [0, 1]."""
+    z[rng.uniform(size=len(z)) < 0.1] = 0.0
+    edges = rng.uniform(size=z.shape) < 0.05
+    z[edges] = rng.choice(_EDGE_VALUES, size=int(edges.sum()))
+    return z
+
+
+ZERO_NOISE_GOLDEN = ["44a491310f698263e8b3df6e71986d6e3fdda8224757910e7f1fb475445b9717",
+                     "44a491310f698263e8b3df6e71986d6e3fdda8224757910e7f1fb475445b9717",
+                     "8be2d967d721af86f32bae2c58f94c4515033acc8e7c981a4a3f06887b802ed9"]
+
+
+def test_zero_noise_outputs_match_golden_bytes(tmp_path):
+    """Renormalisation on at r = 0: the gain is 1, so each filtered row is its
+    measurement renormalised, and an all-zero row becomes the uniform row."""
+    (z,), _ = synth_noisy_trajectories(1, 453, flip_prob=0.3, seed=453)
+    _zero_rows_and_edges(z, np.random.default_rng(0))
+    cfg = KalmanConfig(dim=4, r=0.0)
+    st = filter_trajectory(z, cfg)
+    assert (st.filtered[(z == 0.0).all(axis=1)] == 0.25).all()
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(z, st.filtered, path, CLASS_NAMES)
+    got = [hashlib.sha256(b).hexdigest()
+           for b in (st.filtered.tobytes(), rts_smooth(st, cfg).tobytes(), path.read_bytes())]
+    assert got == ZERO_NOISE_GOLDEN
+
+
 # posterior_filtering's batch (8 trajectories each at 44 to 453 frames,
-# shuffled) through the default grid: the workload itself at dim 4, then
-# noisier batches, with rows that clamp to zero, whose ratios score apart
+# shuffled) through the default grid: the workload itself at dim 4. Then
+# noisier batches at dims 4 and 9, with all-zero rows and edge values in
+# [0, 1], through the default grid and ratio 1e301, whose gain is exactly 1:
+# an all-zero row zeroes the state and the row falls back to the uniform row
 TUNE_GOLDEN = [
     (4, 0.3, False,
      ["32273d06d16f996ab08492a858c72a0add67b0768e31c2cc19492ff4c05acc73",
       "997c23778078979f2682a8698869a2346c229b5d85e38051ba2cd01969e12547"]),
     (4, 0.7, True,
-     ["1fc5585ad9ae0dc764ea6f4ce1ad208221df1347dab92a046716bd2572564588",
-      "78f63b7aa0016edefc7df9ae944d85265c79b8a0b00696a294a09e58abc25da6"]),
+     ["7f4910df8ec1bace999df7b69451421c241fc035a8ff631809372e7cef12f0cc",
+      "8af59eeadaa2780d0a60301c0df0656d3ed5074cd0226632fbda566cba28ebd8"]),
     (9, 0.8, True,
-     ["9473d0f6e258235c457b601940262a534a20d62614563afcb8e8161b4161c124",
-      "cedf022d3a5d02776efcdeccf7dba1c6f0d231880c67c9cae9313971f2193f87"]),
+     ["69d7c4f316ca22e000d0f6d33183f729dc03bcad0fd4d6c4a73c817547591f93",
+      "d5f861473a92dbab3f98a4a346acc6ab774464e7a528fe7147ee20f8f86c3d70"]),
 ]
 
 
-@pytest.mark.parametrize("dim, flip_prob, clamp, want", TUNE_GOLDEN)
-def test_tune_matches_golden_bytes(monkeypatch, dim, flip_prob, clamp, want):
+@pytest.mark.parametrize("dim, flip_prob, edges, want", TUNE_GOLDEN)
+def test_tune_matches_golden_bytes(monkeypatch, dim, flip_prob, edges, want):
     """The tune's fused mean rows and its accuracies are pinned, not only
-    compared with filter_batch from the same code."""
+    compared with filter_batch from the same code. The batches with zero rows
+    leave the batched recursion for the exact path: at dim 4 on the zero row
+    sum, at dim 9 on the width."""
     trajs, labels = [], []
     for t in (44, 88, 151, 302, 453):
         z, y = synth_noisy_trajectories(8, t, flip_prob=flip_prob, seed=t, n_classes=dim)
@@ -902,14 +935,17 @@ def test_tune_matches_golden_bytes(monkeypatch, dim, flip_prob, clamp, want):
     order = np.random.default_rng(7).permutation(len(trajs))
     trajs = [trajs[i] for i in order]
     labels = [labels[i] for i in order]
-    if clamp:
+    ratios = DEFAULT_RATIO_GRID
+    if edges:
+        rng = np.random.default_rng(dim)
         for z in trajs[::7]:
-            z[5:9] = -100.0
+            _zero_rows_and_edges(z, rng)
+        ratios = (*DEFAULT_RATIO_GRID, 1e301)
     calls = TestZeroSumProjection._count_fallbacks(monkeypatch)
     cfg = KalmanConfig(dim=dim)
-    fused = kalman._tune_means(trajs, cfg, [ratio * cfg.r for ratio in DEFAULT_RATIO_GRID])
-    res = tune_qr_ratio(trajs, labels, cfg)
-    assert bool(calls) == clamp
+    fused = kalman._tune_means(trajs, cfg, [ratio * cfg.r for ratio in ratios])
+    res = tune_qr_ratio(trajs, labels, cfg, ratios=ratios)
+    assert bool(calls) == edges
     got = [hashlib.sha256(fused.tobytes()).hexdigest(),
            hashlib.sha256(repr(sorted(res.accuracies.items())).encode()).hexdigest()]
     assert got == want
