@@ -31,30 +31,34 @@ itself, so the bits equal a numpy row loop's at every width (test_kalman.py's
 TestFilterBatch::test_matches_per_trajectory_filtering). The first use of
 a width pays about 1 ms to generate the loops.
 
-The projection clamps each element to [0, 1], sums the row and divides by
-the sum. When the state a, the measurement b and the gain k all lie in
-[0, 1], the clamp cannot change a bit under round-to-nearest: for b < a,
-fl(a + fl(k fl(b - a))) lies in [0, a]; otherwise it is at most
-fl(a + fl(1 - a)), which is at most 1; a renormalised row v/s stays in
-[0, 1]; and no step makes -0.0, which the clamp would turn into 0.0. The
-state starts uniform and every gain lies in [0, 1], so the filter skips
-the clamp whenever every measurement lies in [0, 1], as every posterior
-does, and clamps otherwise. The choice reads the two reductions that also
-check the input is finite. The zero-sum fallback to the uniform row stays
-on both loops: a row of zeros is in range.
+Measurements must be finite. With renormalisation on (the default) every
+measurement must also lie in [0, 1], as every softmax or Dirichlet
+posterior does, and anything else raises ValueError; with it off any
+finite value is filtered as it is. The projection divides
+each filtered row by its sum, and a row whose sum is 0 becomes the uniform
+row: at r = 0 the gain is 1, so an all-zero measurement zeroes the state.
+
+The reference filters in tests/test_acceptance.py and perfbench/oracle.py
+also clamp each element to [0, 1] before the sum; on accepted input that
+cannot change a bit under round-to-nearest. With the state a, the
+measurement b and the gain k in [0, 1]: for b < a, fl(a + fl(k fl(b - a)))
+lies in [0, a]; otherwise it is at most fl(a + fl(1 - a)), which is at most
+1; a renormalised row v/s stays in [0, 1]; and no step makes -0.0, which
+the clamp would turn into 0.0. The state starts uniform and every gain
+lies in [0, 1], so this holds at every step.
 
 Only the q/r tune runs on numpy, and only on posteriors (renormalisation
-on, under 8 classes, every measurement in [0, 1]): every candidate q and
-every trajectory advance together, one time step per set of array calls,
-with no clamp. Any other batch, or one that meets a zero row sum, goes
-through filter_trajectory. The batch is sorted by length, longest first,
-and shrinks as trajectories end, so no step is spent on padding; each
-stretch between two lengths works on contiguous copies of the still-active
-state. The state is held class-major, (n_q, dim, n), so the gain multiply
-runs on a contiguous (n_q, dim * n) view and the row sum is one add.reduce
-over the class axis. The tune keeps no filtered rows: each trajectory's
-mean row is summed as it goes and fused when its last row is written, by
-the same steps as evaluation.fuse_utterance's mean rule.
+on, under 8 classes): every candidate q and every trajectory advance
+together, one time step per set of array calls. Any other batch, or one
+that meets a zero row sum, goes through filter_trajectory. The batch is
+sorted by length, longest first, and shrinks as trajectories end, so no
+step is spent on padding; each stretch between two lengths works on
+contiguous copies of the still-active state. The state is held
+class-major, (n_q, dim, n), so the gain multiply runs on a contiguous
+(n_q, dim * n) view and the row sum is one add.reduce over the class axis.
+The tune keeps no filtered rows: each trajectory's mean row is summed as
+it goes and fused when its last row is written, by the same steps as
+evaluation.fuse_utterance's mean rule.
 """
 
 from __future__ import annotations
@@ -74,6 +78,10 @@ from .manifest import write_csv
 @dataclass(frozen=True)
 class KalmanConfig:
     """Noise scales of the identity model; q = r = 0 is rejected.
+
+    With renormalize on, each filtered row is divided by its sum and every
+    measurement must lie in [0, 1]; off, any finite measurement is filtered
+    as it is.
 
     r = 0 is legal (full trust in the measurement) as long as q > 0, and
     q = 0 (a static state) as long as r > 0. With both zero the variance
@@ -125,12 +133,13 @@ def _finite_nonneg(name: str, value) -> float:
     return number
 
 
-def _as_measurements(m, cfg: KalmanConfig) -> tuple[np.ndarray, bool]:
-    """The (T, cfg.dim) float64 measurements, and whether all lie in [0, 1].
+def _as_measurements(m, cfg: KalmanConfig) -> np.ndarray:
+    """The (T, cfg.dim) float64 measurements.
 
-    ValueError if m is empty, misshapen or not finite: NaN and +-inf carry
-    through min and max, so the two reductions that test the range also
-    test finiteness.
+    ValueError if m is empty, misshapen or not finite, or, with
+    cfg.renormalize on, if any measurement lies outside [0, 1]. NaN and
+    +-inf carry through min and max, so the two reductions that test the
+    range also test finiteness.
     """
     z = np.atleast_2d(np.asarray(m, dtype=np.float64))
     if z.size == 0:
@@ -140,7 +149,9 @@ def _as_measurements(m, cfg: KalmanConfig) -> tuple[np.ndarray, bool]:
     lo, hi = float(z.min()), float(z.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("measurements must be finite (found NaN or inf)")
-    return z, 0.0 <= lo and hi <= 1.0
+    if cfg.renormalize and not (0.0 <= lo and hi <= 1.0):
+        raise ValueError(f"renormalized measurements must lie in [0, 1], found [{lo!r}, {hi!r}]")
+    return z
 
 
 _SCHEDULE_MIN_STEPS = 64
@@ -186,7 +197,6 @@ def filter_rows(values, gains, renormalize, uniform):
     if renormalize:
         for k, {b} in zip(gains, {its}):
             v{i} = a{i} + k * (b{i} - a{i})
-            v{i} = 1.0 if v{i} > 1.0 else v{i} if v{i} > 0.0 else 0.0
             s = {v_sum}
             if s:
                 a{i} = v{i} / s
@@ -224,25 +234,17 @@ def _row_sum(terms: list[str]) -> str:
     return f"float(add_reduce(array(({', '.join(terms)},))))"
 
 
-_CLAMP_LINE = "v{i} = 1.0 if v{i} > 1.0 else v{i} if v{i} > 0.0 else 0.0"
-
-
 @functools.lru_cache(maxsize=16)
-def _row_loops(dim: int, clamp: bool):
+def _row_loops(dim: int):
     """The float loops of the filter and the smoother for rows of width dim.
 
     _ROW_LOOPS is written for one element: each run of lines that names {i}
     is repeated for i = 0..dim-1, so a step holds the row in dim locals, reads
     the input row as dim items of one iterator over the flat input values and
     runs no inner loop. Only _row_sum's fixed names and names built from
-    range(dim) enter the source. Without clamp, the filter loop leaves out
-    _CLAMP_LINE, which cannot change a value when the state and the
-    measurements lie in [0, 1] (module docstring); the smoother is the same
-    either way.
-    Built once per width and clamp, in about 1 ms, and shared.
+    range(dim) enter the source. Built once per width, in about 1 ms, and
+    shared.
     """
-    template = [line for line in _ROW_LOOPS.splitlines()
-                if clamp or line.strip() != _CLAMP_LINE]
     idx = range(dim)
     whole_row = {"chain": " = ".join(f"a{i}" for i in idx),
                  "v_sum": _row_sum([f"v{i}" for i in idx]),
@@ -250,15 +252,14 @@ def _row_loops(dim: int, clamp: bool):
                  "nexts": "next(it), " * dim,
                  **{p: ", ".join(f"{p}{i}" for i in idx) + "," for p in "abn"}}
     lines = []
-    for per_element, run in itertools.groupby(template, lambda line: "{i}" in line):
+    for per_element, run in itertools.groupby(_ROW_LOOPS.splitlines(), lambda line: "{i}" in line):
         run = list(run)
         if per_element:
             lines += (line.format(i=i) for i in idx for line in run)
         else:
             lines += (line.format(**whole_row) for line in run)
     namespace = {"add_reduce": np.add.reduce, "array": np.array}
-    exec(compile("\n".join(lines), f"<kftser.kalman rows, dim={dim}, clamp={clamp}>", "exec"),
-         namespace)
+    exec(compile("\n".join(lines), f"<kftser.kalman rows, dim={dim}>", "exec"), namespace)
     return namespace["filter_rows"], namespace["smooth_rows"]
 
 
@@ -272,9 +273,9 @@ def _tune_means(measurement_list, cfg: KalmanConfig, qs: list[float]) -> np.ndar
     """Each trajectory's mean filtered row under each q, (n_q, B, dim) in input order.
 
     Checks every trajectory as filter_trajectory does. Only posteriors take
-    the batched recursion below: renormalisation on, under 8 classes, every
-    measurement in [0, 1] (where the clamp cannot act, module docstring) and
-    no zero row sum. Any other batch goes to _filtered_means.
+    the batched recursion below: renormalisation on (so every measurement
+    lies in [0, 1]), under 8 classes and no zero row sum. Any other batch
+    goes to _filtered_means.
 
     Trajectories are sorted longest first (stably). Between two consecutive
     distinct lengths the same trajectories are active, the first n of the
@@ -295,9 +296,8 @@ def _tune_means(measurement_list, cfg: KalmanConfig, qs: list[float]) -> np.ndar
     axis 0 of a C-contiguous (T, dim) array does for dim >= 2, which is
     evaluation.fuse_utterance's mean rule.
     """
-    checked = [_as_measurements(m, cfg) for m in measurement_list]
-    arrays = [z for z, _ in checked]
-    if not (cfg.renormalize and cfg.dim < 8 and all(in_range for _, in_range in checked)):
+    arrays = [_as_measurements(m, cfg) for m in measurement_list]
+    if not (cfg.renormalize and cfg.dim < 8):
         return _filtered_means(arrays, cfg, qs)
     order = sorted(range(len(arrays)), key=lambda i: -arrays[i].shape[0])
     lengths = [arrays[i].shape[0] for i in order]
@@ -356,17 +356,18 @@ def filter_trajectory(measurements: np.ndarray, cfg: KalmanConfig) -> SmoothedTr
     Causal: row t of the output depends only on measurements 0..t. Runs
     _row_loops' filter loop on Python floats, where numpy's per-call
     overhead would outweigh a step's few float operations: x + k*(z - x),
-    clamp to [0, 1], the row sum as numpy's add.reduce makes it, divide; a row
-    whose clamped sum is 0 becomes the uniform row. When every measurement
-    lies in [0, 1] the loop leaves out the clamp, which could not change a
-    bit there (module docstring). The rows go in and come out as one flat
-    list each: numpy converts a flat list both ways far faster than a list
-    of rows.
+    then with renormalisation the row sum as numpy's add.reduce makes it
+    and a divide; a row whose sum is 0 becomes the uniform row. The rows go
+    in and come out as one flat list each: numpy converts a flat list both
+    ways far faster than a list of rows.
+
+    Raises ValueError unless measurements is (T, cfg.dim) with T >= 1 and
+    finite, and, with renormalisation on, lies in [0, 1].
     """
-    z, in_range = _as_measurements(measurements, cfg)
+    z = _as_measurements(measurements, cfg)
     t_steps = z.shape[0]
     p_pred, gains, p_filt = _schedule(cfg.q, cfg.r, t_steps)
-    filter_rows = _row_loops(cfg.dim, cfg.renormalize and not in_range)[0]
+    filter_rows = _row_loops(cfg.dim)[0]
     flat = filter_rows(z.ravel().tolist(), gains.tolist(), cfg.renormalize, 1.0 / cfg.dim)
     return SmoothedTrajectory(filtered=np.fromiter(flat, np.float64, len(flat)).reshape(z.shape),
                               predicted_var=p_pred.copy(), filtered_var=p_filt.copy())
@@ -404,7 +405,7 @@ def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
             raise ValueError(f"{name} must have shape {shape[:1]}, "
                              f"got {getattr(st, name).shape}")
     gain = (st.filtered_var[-2::-1] / st.predicted_var[:0:-1]).tolist()
-    flat = _row_loops(cfg.dim, False)[1](st.filtered[::-1].ravel().tolist(), gain)
+    flat = _row_loops(cfg.dim)[1](st.filtered[::-1].ravel().tolist(), gain)
     means = np.fromiter(flat, np.float64, len(flat)).reshape(shape)
     return means[::-1].copy()
 

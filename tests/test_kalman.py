@@ -1,6 +1,6 @@
 import functools
 import hashlib
-import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -304,15 +304,19 @@ class TestFilterBatch:
         """filter_batch, filter_trajectory and a numpy row loop agree byte for
         byte, variances included, and so do rts_smooth and its numpy row loop.
         The widths cover every order of numpy's pairwise row sum: left to
-        right below 8, eight partial sums up to 128, halves above that."""
+        right below 8, eight partial sums up to 128, halves above that.
+        Renormalised rows lie in [0, 1], with 0.0, -0.0 and all-zero rows, and
+        the numpy loop clamps them, so the filter's bytes are checked against a
+        reference that clamps; unprojected rows reach beyond [0, 1]."""
         cfg = KalmanConfig(dim=dim, q=q, r=r, renormalize=renorm)
+        lo, hi, whole_row = (0.0, 1.0, 0.0) if renorm else (-0.5, 1.5, -0.25)
         trajs = [rng.dirichlet(np.ones(dim), size=7)]
         for t in (1, 2, 17, 60, 453, int(rng.integers(1, 61))):
-            z = rng.uniform(-0.5, 1.5, size=(t, dim))
+            z = rng.uniform(lo, hi, size=(t, dim))
             pick = rng.uniform(size=z.shape)
             z[pick < 0.15] = 0.0
             z[pick > 0.85] = -0.0
-            z[rng.uniform(size=t) < 0.1] = -0.25  # whole rows that clamp to zero
+            z[rng.uniform(size=t) < 0.1] = whole_row
             trajs.append(z)
         batched = filter_batch(trajs, cfg)
         for z, got in zip(trajs, batched):
@@ -372,7 +376,7 @@ def _mean_weights(q, r, t_steps, smoothed):
 
 
 def _probability_rows(dim):
-    """Rows the clamp never touches: softmax rows of an untrained net and, above
+    """Probability rows: softmax rows of an untrained net and, above
     width 1, the Dirichlet rows of synth_noisy_trajectories, at 1 to 453 frames.
     At width 1 the only probability row is [1.0]."""
     rng = np.random.default_rng(dim)
@@ -387,8 +391,10 @@ def _probability_rows(dim):
 
 
 class TestFrameWeights:
-    """On probability rows the clamp never acts, so the filter and the smoother
-    are linear in the raw rows with weights that depend only on q, r and T: mean
+    """On probability rows each filtered row sums to 1 up to rounding, so the
+    renormalising divide is the identity to 1e-12, and the filter and the
+    smoother are linear in the raw rows with weights that depend only on q, r
+    and T, whether renormalisation is on or off: mean
     fusion of their rows is a fixed reweighting of the raw rows in time, plus
     the uniform start, and adds no evidence to the decision."""
 
@@ -417,7 +423,7 @@ class TestFrameWeights:
 
 
 class TestZeroSumProjection:
-    """Rows whose clamped sum is 0 fall back to the uniform row."""
+    """Rows whose sum is 0 fall back to the uniform row."""
 
     @staticmethod
     def _count_fallbacks(monkeypatch):
@@ -441,22 +447,24 @@ class TestZeroSumProjection:
             assert fused_k.tobytes() == np.array(want).tobytes()
 
     @staticmethod
-    def _bad_rows(rng, n, dim):
-        """Rows that clamp to all zeros (all <= 0) or to all ones (all > 1)."""
-        low = rng.uniform(-2.0, 0.0, size=(n, dim))
-        low[::3] = 0.0
-        high = rng.uniform(1.0, 3.0, size=(n, dim)) + 1e-9
-        return np.where(rng.uniform(size=(n, 1)) < 0.5, low, high)
+    def _zero_rows(rng, n, dim):
+        """n rows in [0, 1], about half of them all zeros (0.0 or -0.0) and
+        the others all ones or uniform draws."""
+        zeros = np.where(rng.uniform(size=(n, dim)) < 0.5, 0.0, -0.0)
+        high = rng.uniform(0.0, 1.0, size=(n, dim))
+        high[::3] = 1.0
+        return np.where(rng.uniform(size=(n, 1)) < 0.5, zeros, high)
 
     @pytest.mark.parametrize("dim", [1, 4])
     def test_fallback_matches_naive_and_per_trajectory(self, rng, dim):
         cfg = KalmanConfig(dim=dim, q=1e-3, r=0.0)
-        bad = self._bad_rows(rng, 12, dim)
+        bad = self._zero_rows(rng, 12, dim)
         filtered = filter_trajectory(bad, cfg).filtered
         np.testing.assert_allclose(filtered, _naive_filter(bad, cfg), rtol=0, atol=1e-12)
-        # at r = 0 the gain is 1, so a row that is all <= 0 clamps to a zero
-        # sum and its step must come out as the uniform row, exactly
-        low = (bad <= 0.0).all(axis=1)
+        assert filtered.tobytes() == _numpy_filter(bad, cfg)[0].tobytes()
+        # at r = 0 the gain is 1, so an all-zero row zeroes the state and its
+        # step must come out as the uniform row, exactly
+        low = (bad == 0.0).all(axis=1)
         assert low.any()
         assert (filtered[low] == 1.0 / dim).all()
 
@@ -494,11 +502,12 @@ class TestZeroSumProjection:
             z, y = synth_noisy_trajectories(8, t_steps, flip_prob=0.5, seed=seed)
             trajs += z
             labels += list(y)
-        trajs[2][4:9] = -100.0  # drives the state below 0 for every ratio
-        res = tune_qr_ratio(trajs, labels, cfg)
+        trajs[2][4:9] = 0.0  # zeroes the state under ratio 1e301, whose gain is 1
+        ratios = (*DEFAULT_RATIO_GRID, 1e301)
+        res = tune_qr_ratio(trajs, labels, cfg, ratios=ratios)
         assert calls
         want = {}
-        for ratio in DEFAULT_RATIO_GRID:
+        for ratio in ratios:
             filtered = filter_batch(trajs, replace(cfg, q=ratio * cfg.r))
             preds = np.array([fuse_utterance(m)[0] for m in filtered])
             want[ratio] = float(np.mean(preds == np.array(labels)))
@@ -514,7 +523,9 @@ class TestZeroSumProjection:
         decisions, and for dim >= 2 its mean rows, equal fuse_utterance's on
         filter_batch's rows. A (T, 1) column is averaged pairwise by numpy, so
         at dim 1 the mean rows may differ in the last bit; the argmax of a
-        1-wide vector is 0 either way, so there only TuneResult is compared."""
+        1-wide vector is 0 either way, so there only TuneResult is compared.
+        The rows reach beyond [0, 1], so with renormalisation on the tune
+        rejects both batches before it filters anything."""
         calls = self._count_fallbacks(monkeypatch)
         cfg = KalmanConfig(dim=dim, q=q, r=r, renormalize=renorm)
         ratios = [q / r, 1.0]
@@ -522,13 +533,18 @@ class TestZeroSumProjection:
         trajs = []
         for t in (17, 1, 60, 5, 5, 5, 2, 60, 33):  # mixed, equal and single-frame lengths
             z = rng.uniform(-0.5, 1.5, size=(t, dim))
-            z[rng.uniform(size=t) < 0.2] = -100.0  # rows that clamp to zero
+            z[rng.uniform(size=t) < 0.2] = -100.0
             trajs.append(z)
         labels = rng.integers(0, dim, size=len(trajs))
         for batch in (trajs, trajs[2:3]):  # mixed lengths, then a single trajectory
             calls.clear()
+            if renorm:
+                with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                    tune_qr_ratio(batch, labels[: len(batch)], cfg, ratios=ratios)
+                assert calls == []
+                continue
             res = tune_qr_ratio(batch, labels[: len(batch)], cfg, ratios=ratios)
-            assert calls  # rows that clamp take the exact path
+            assert calls  # renormalisation off takes the exact path
             fused = kalman._tune_means(batch, cfg, qs)
             want = {}
             for ratio, q_k, fused_k in zip(ratios, qs, fused):
@@ -597,7 +613,8 @@ class TestZeroSumProjection:
     @pytest.mark.parametrize("case", ["out_of_range", "dim_8", "renormalize_off", "zero_sum"])
     def test_dispatch_to_the_exact_path(self, monkeypatch, rng, case):
         """Each batch the batched recursion does not serve goes whole to the
-        exact path, with the bytes of filter_batch then fuse_utterance."""
+        exact path, with the bytes of filter_batch then fuse_utterance; a batch
+        with one entry outside [0, 1] is rejected before either path."""
         calls = self._count_fallbacks(monkeypatch)
         dim = 8 if case == "dim_8" else 4
         cfg = KalmanConfig(dim=dim, r=0.1, renormalize=case != "renormalize_off")
@@ -608,6 +625,11 @@ class TestZeroSumProjection:
             trajs[1][7, 2] = 1.0 + 2.0**-52
         if case == "zero_sum":
             trajs[2][3] = 0.0
+        if case == "out_of_range":
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                kalman._tune_means(trajs, cfg, qs)
+            assert calls == []
+            return
         self._assert_means_match_filter_then_fuse(trajs, cfg, qs)
         assert calls == [len(trajs)]
 
@@ -622,19 +644,6 @@ class TestZeroSumProjection:
         finally:
             tracemalloc.stop()
         assert peak < 453 * 5 * 40 * 4 * 8
-
-
-def _loop_choices(monkeypatch):
-    """Record the clamp argument of every _row_loops call."""
-    choices = []
-    original = kalman._row_loops
-
-    def recorded(dim, clamp):
-        choices.append(clamp)
-        return original(dim, clamp)
-
-    monkeypatch.setattr(kalman, "_row_loops", recorded)
-    return choices
 
 
 _EDGE_VALUES = (0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53)
@@ -653,47 +662,50 @@ def _unit_rows(draw):
     return z
 
 
-class TestClampFreePath:
-    """On state, measurement and gain in [0, 1] the clamp returns its input, so
-    rows in [0, 1] take the loop without it (module docstring of kalman)."""
+class TestMeasurementRange:
+    """With renormalisation on, every measurement must lie in [0, 1]. There
+    the clamp of the reference filters cannot change a bit (module docstring
+    of kalman), so the filter, which has no clamp, matches them byte for byte."""
 
     @given(z=_unit_rows(), q=st.sampled_from(_NOISE_SCALES), r=st.sampled_from(_NOISE_SCALES))
     @settings(max_examples=300, deadline=None)
-    def test_loops_agree_bit_for_bit_on_rows_in_range(self, z, q, r):
+    def test_filter_matches_the_clamping_loop_on_rows_in_range(self, z, q, r):
         """Equal values and equal sign bits, so no -0.0 comes out either."""
         assume(q or r)
-        dim = z.shape[1]
-        gains = kalman._schedule(q, r, len(z))[1].tolist()
-        flat = [kalman._row_loops(dim, clamp)[0](z.ravel().tolist(), gains, True, 1.0 / dim)
-                for clamp in (True, False)]
-        assert np.array(flat[0]).tobytes() == np.array(flat[1]).tobytes()
-        assert not any(math.copysign(1.0, v) < 0 for v in flat[1])
+        cfg = KalmanConfig(dim=z.shape[1], q=q, r=r)
+        got = filter_trajectory(z, cfg).filtered
+        assert got.tobytes() == _numpy_filter(z, cfg)[0].tobytes()
+        assert not np.signbit(got).any()
 
-    def test_filter_takes_the_clamp_free_loop_on_rows_in_range(self, monkeypatch, rng):
-        choices = _loop_choices(monkeypatch)
+    def test_signed_zero_and_unit_rows_are_accepted(self, rng):
         cfg = KalmanConfig()
         z = rng.dirichlet(np.ones(4), size=20)
         z[3] = 0.0
         z[4] = -0.0
         z[5] = (1.0, 0.0, 0.0, 0.0)
-        filter_trajectory(z, cfg)
-        assert choices == [False]
+        z[6] = (-0.0, 1.0, -0.0, 0.0)
+        assert filter_trajectory(z, cfg).filtered.tobytes() == _numpy_filter(z, cfg)[0].tobytes()
 
     @pytest.mark.parametrize("bad", [1.0 + 2.0**-52, -5e-324, 2.0, -100.0])
-    def test_one_entry_out_of_range_runs_the_clamping_path(self, monkeypatch, rng, bad):
-        """The filter clamps a trajectory with one entry outside [0, 1], and the
-        tune hands the batch to the exact path. At r = 0 the state takes each
-        row, so at 2.0 and -100.0 skipping the clamp would move the mean rows;
-        a clamp of one ulp leaves them as they are."""
-        choices = _loop_choices(monkeypatch)
+    def test_one_entry_out_of_range_is_rejected(self, rng, bad):
+        """One entry outside [0, 1] in one trajectory is a ValueError from the
+        filter, the batch filter and the tune, with renormalisation on; with it
+        off the same rows filter as they are. At r = 0 the state takes each
+        row, so at 2.0 and -100.0 filtering on would move the mean rows."""
         cfg = KalmanConfig(q=1e-3, r=0.0)
         trajs = [rng.dirichlet(np.ones(4), size=t) for t in (9, 14, 6)]
         trajs[1][7, 2] = bad
-        filtered = [filter_trajectory(z, cfg).filtered for z in trajs]
-        assert choices == [False, True, False]
-        want = np.array([fuse_utterance(rows)[1] for rows in filtered])
-        assert kalman._tune_means(trajs, cfg, [cfg.q])[0].tobytes() == want.tobytes()
-        assert (filtered[1][7] >= 0.0).all() and (filtered[1][7] <= 1.0).all()
+        lo, hi = float(trajs[1].min()), float(trajs[1].max())
+        found = re.escape(f"must lie in [0, 1], found [{lo!r}, {hi!r}]")
+        with pytest.raises(ValueError, match=found):
+            filter_trajectory(trajs[1], cfg)
+        with pytest.raises(ValueError, match=found):
+            filter_batch(trajs, cfg)
+        with pytest.raises(ValueError, match=found):
+            tune_qr_ratio(trajs, [0, 1, 2], replace(cfg, r=0.1))
+        off = replace(cfg, renormalize=False)
+        for z, rows in zip(trajs, filter_batch(trajs, off)):
+            assert rows.tobytes() == _numpy_filter(z, off)[0].tobytes()
 
 
 class TestRtsSmoother:
