@@ -151,10 +151,25 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     # imported here so that only a clip that needs resampling pays for scipy.signal
     from scipy.signal import resample_poly
 
-    g = math.gcd(clip.sample_rate, target_rate)
-    up, down = target_rate // g, clip.sample_rate // g
+    up, down = _reduced_ratio(clip.sample_rate, target_rate)
     out = resample_poly(clip.samples, up, down, window=_resample_kernel(up, down))
     return AudioClip(out, target_rate)
+
+
+# The kernel has 64 taps per unit of max(up, down): this bound keeps it at
+# most 4.2 M taps (34 MB); rates from 8 to 384 kHz need at most 2,560.
+_MAX_RATIO_TERM = 65_536
+
+
+def _reduced_ratio(rate: int, target_rate: int) -> tuple[int, int]:
+    """target_rate / rate in lowest terms, as (up, down); ValueError, before
+    any kernel is built, when either term exceeds _MAX_RATIO_TERM."""
+    g = math.gcd(rate, target_rate)
+    up, down = target_rate // g, rate // g
+    if max(up, down) > _MAX_RATIO_TERM:
+        raise ValueError(f"cannot resample {rate} Hz to {target_rate} Hz: the ratio "
+                         f"{up}/{down} in lowest terms has a term above {_MAX_RATIO_TERM:,}")
+    return up, down
 
 
 @functools.lru_cache(maxsize=8)
@@ -195,9 +210,8 @@ def resample_trimmed(
     _check_threshold(threshold_db)
     if target_rate <= 0 or clip.sample_rate == target_rate:
         return trim_silence(resample(clip, target_rate), threshold_db, cfg)
+    up, down = _reduced_ratio(clip.sample_rate, target_rate)
     cfg = cfg or FramingConfig()
-    g = math.gcd(clip.sample_rate, target_rate)
-    up, down = target_rate // g, clip.sample_rate // g
     half = len(_resample_kernel(up, down)) // 2
     n_in = len(clip.samples)
     n_out = -(-n_in * up // down)  # resample's output length, ceil(n_in * up / down)

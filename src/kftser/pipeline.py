@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import PipelineConfig, framing_config, kalman_config, train_config
 from .dsp import decode_wav, resample_trimmed
-from .errors import KftserError
+from .errors import DecodeError, KftserError
 from .features import (FeatureMatrix, MelFilterbank, build_mel_filterbank,
                        extract_features, fit_scaler, load_features, save_features)
 from .kalman import DEFAULT_RATIO_GRID, KalmanConfig, TuneResult, tune_qr_ratio
@@ -36,9 +36,16 @@ def _filterbank(n_mels: int, sample_rate: int, n_fft: int) -> MelFilterbank:
 
 def wav_to_features(path: str | Path, cfg: PipelineConfig,
                     utterance_id: str = "") -> FeatureMatrix:
-    """Decode, standardize the rate, trim silence, and extract features."""
+    """Decode, standardize the rate, trim silence, and extract features.
+
+    A rate the resampler cannot take raises DecodeError naming the file.
+    """
     fcfg = framing_config(cfg)
-    clip = resample_trimmed(decode_wav(path), cfg.sample_rate, cfg.trim_threshold_db, fcfg)
+    clip = decode_wav(path)
+    try:
+        clip = resample_trimmed(clip, cfg.sample_rate, cfg.trim_threshold_db, fcfg)
+    except ValueError as exc:  # cfg was checked when built, so the clip's rate is at fault
+        raise DecodeError(f"{path}: {exc}") from None
     return extract_features(clip, fcfg, mel_filterbank(cfg), delta_width=cfg.delta_width,
                             log_floor=cfg.log_floor, utterance_id=utterance_id)
 

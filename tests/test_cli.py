@@ -349,6 +349,21 @@ class TestTrajectory:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {wav}: ") and "sample rate 0 (byte 12)" in err
 
+    def test_extreme_sample_rate_is_a_runtime_error(self, cli_ws, tmp_path, capsys):
+        """A header rate whose resampling kernel would take 2 TiB is one error
+        line naming the file and the rate, not a MemoryError traceback."""
+        raw = bytearray(sorted(cli_ws["audio"].glob("*.wav"))[0].read_bytes())
+        raw[24:28] = struct.pack("<I", 4_294_967_291)  # the fmt chunk's sample-rate field
+        wav = tmp_path / "extreme_rate.wav"
+        wav.write_bytes(bytes(raw))
+        rc = main(["trajectory", str(wav), "--checkpoint", str(cli_ws["ckpt"]),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {wav}: cannot resample 4294967291 Hz to 22050 Hz")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
+
     def test_non_finite_float_audio_is_a_runtime_error(self, cli_ws, tmp_path, capsys):
         samples = np.full(22050, 0.25, dtype="<f4")
         samples[300] = np.nan

@@ -21,6 +21,7 @@ from kftser.dsp import (
     resample_trimmed,
     trim_silence,
     wav_bytes,
+    _reduced_ratio,
     _resample_kernel,
 )
 from kftser.config import PipelineConfig
@@ -250,6 +251,36 @@ class TestResample:
         clip = AudioClip(np.ones(10), 8000)
         with pytest.raises(ValueError):
             resample(clip, 0)
+
+    def test_rejects_a_ratio_too_fine_for_a_kernel(self, monkeypatch):
+        """4,294,967,291 Hz is prime, so against 22,050 Hz the ratio in lowest
+        terms is 22050/4294967291 and its kernel would take 2 TiB. Both
+        resamplers refuse it, naming both rates, before building any kernel."""
+        built = []
+        monkeypatch.setattr("kftser.dsp._resample_kernel", lambda *ratio: built.append(ratio))
+        clip = AudioClip(np.ones(100), 4_294_967_291)
+        for resampler in (resample, resample_trimmed):
+            with pytest.raises(ValueError, match="cannot resample 4294967291 Hz to 22050 Hz"):
+                resampler(clip, 22050)
+        assert built == []
+
+    @pytest.mark.parametrize("target", [16000, 22050])
+    def test_standard_and_odd_rates_are_accepted(self, target):
+        """8 to 384 kHz reduce to terms of at most 2,560 against either target;
+        an odd rate such as 47,999 Hz stays far below the 65,536 bound."""
+        rates = (8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000,
+                 88200, 96000, 176400, 192000, 352800, 384000)
+        for rate in (*rates, 47999):
+            g = math.gcd(rate, target)
+            assert _reduced_ratio(rate, target) == (target // g, rate // g)
+        assert max(max(_reduced_ratio(rate, target)) for rate in rates) <= 2560
+
+    def test_ratio_bound_is_65536(self):
+        assert _reduced_ratio(65536, 1) == (1, 65536)
+        assert _reduced_ratio(1, 65536) == (65536, 1)
+        for rate, target in ((65537, 1), (1, 65537)):
+            with pytest.raises(ValueError, match="has a term above 65,536"):
+                _reduced_ratio(rate, target)
 
 
 class TestTrimSilence:
