@@ -34,9 +34,9 @@ a width pays about 1 ms to generate the loops.
 Measurements must be finite. With renormalisation on (the default) every
 measurement must also lie in [0, 1], as every softmax or Dirichlet
 posterior does, and anything else raises ValueError; with it off any
-finite value is filtered as it is. The projection divides
-each filtered row by its sum, and a row whose sum is 0 becomes the uniform
-row: at r = 0 the gain is 1, so an all-zero measurement zeroes the state.
+finite value is filtered as it is. The projection divides each filtered
+row by its sum, and a row whose sum is 0 becomes the uniform row: at
+r = 0 the gain is 1, so an all-zero measurement zeroes the state.
 
 The reference filters in tests/test_acceptance.py and perfbench/oracle.py
 also clamp each element to [0, 1] before the sum; on accepted input that

@@ -44,7 +44,7 @@ def wav_to_features(path: str | Path, cfg: PipelineConfig,
     clip = decode_wav(path)
     try:
         clip = resample_trimmed(clip, cfg.sample_rate, cfg.trim_threshold_db, fcfg)
-    except ValueError as exc:  # cfg was checked when built, so the clip's rate is at fault
+    except ValueError as exc:  # cfg was checked when built: only the rate ratio can fail here
         raise DecodeError(f"{path}: {exc}") from None
     return extract_features(clip, fcfg, mel_filterbank(cfg), delta_width=cfg.delta_width,
                             log_floor=cfg.log_floor, utterance_id=utterance_id)

@@ -688,10 +688,10 @@ class TestMeasurementRange:
 
     @pytest.mark.parametrize("bad", [1.0 + 2.0**-52, -5e-324, 2.0, -100.0])
     def test_one_entry_out_of_range_is_rejected(self, rng, bad):
-        """One entry outside [0, 1] in one trajectory is a ValueError from the
-        filter, the batch filter and the tune, with renormalisation on; with it
-        off the same rows filter as they are. At r = 0 the state takes each
-        row, so at 2.0 and -100.0 filtering on would move the mean rows."""
+        """One entry outside [0, 1] in one trajectory is a ValueError naming the
+        range found, from the filter, the batch filter and the tune, with
+        renormalisation on; with it off the same rows filter as the numpy
+        reference filters them."""
         cfg = KalmanConfig(q=1e-3, r=0.0)
         trajs = [rng.dirichlet(np.ones(4), size=t) for t in (9, 14, 6)]
         trajs[1][7, 2] = bad
@@ -892,7 +892,6 @@ def _zero_rows_and_edges(z, rng):
     z[rng.uniform(size=len(z)) < 0.1] = 0.0
     edges = rng.uniform(size=z.shape) < 0.05
     z[edges] = rng.choice(_EDGE_VALUES, size=int(edges.sum()))
-    return z
 
 
 ZERO_NOISE_GOLDEN = ["44a491310f698263e8b3df6e71986d6e3fdda8224757910e7f1fb475445b9717",
