@@ -185,9 +185,9 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     manifest = Manifest.load(args.manifest)
     if not (manifest.train_indices and manifest.test_indices):
-        raise ValueError(f"{args.manifest}: run needs a train and a test split "
-                         f"(train={len(manifest.train_indices)}, "
-                         f"test={len(manifest.test_indices)})")
+        raise KftserError(f"{args.manifest}: run needs a train and a test split "
+                          f"(train={len(manifest.train_indices)}, "
+                          f"test={len(manifest.test_indices)})")
     kcfg = pipeline.kalman_config(cfg)
     check_tunable(kcfg)
     out_dir = Path(args.out_dir)

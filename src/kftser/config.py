@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dsp import FramingConfig
+from .dsp import FramingConfig, _reduced_ratio
 from .errors import ConfigError
 from .evaluation import FUSION_RULES
 from .features import N_MFCC
@@ -35,7 +35,8 @@ class PipelineConfig:
 
     The 13 cepstral coefficients are fixed by features.N_MFCC (the 41-column
     layout), so n_mels must be at least 13; ZCR needs frame_length >= 2.
-    Training always shuffles, seeded by seed.
+    sample_rate must be one the resampler can reach from CD audio (44,100 Hz)
+    and RAVDESS (48,000 Hz). Training always shuffles, seeded by seed.
     """
 
     sample_rate: int = 22050
@@ -77,6 +78,11 @@ class PipelineConfig:
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
+        for rate in (44_100, 48_000):
+            try:
+                _reduced_ratio(rate, self.sample_rate)
+            except ValueError as exc:
+                raise ConfigError(f"sample_rate {self.sample_rate} is unreachable: {exc}") from None
         try:
             framing_config(self)
             train_config(self)

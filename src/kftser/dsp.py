@@ -152,7 +152,7 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     from scipy.signal import resample_poly
 
     up, down = _reduced_ratio(clip.sample_rate, target_rate)
-    out = resample_poly(clip.samples, up, down, window=_resample_kernel(up, down))
+    out = resample_poly(clip.samples, up, down, window=_resample_kernel(up, down)[0])
     return AudioClip(out, target_rate)
 
 
@@ -173,22 +173,18 @@ def _reduced_ratio(rate: int, target_rate: int) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=8)
-def _resample_kernel(up: int, down: int) -> np.ndarray:
-    """The anti-aliasing FIR for one up/down pair, built once and shared read-only."""
+def _resample_kernel(up: int, down: int) -> tuple[np.ndarray, float]:
+    """The anti-aliasing FIR for one up/down pair, built once and shared
+    read-only, and its gain: the largest L1 norm over the up phases of the
+    kernel as resample applies it (scaled by up). No output sample exceeds the
+    gain times the largest |input| that sample reads."""
     from scipy.signal import firwin
 
     half = (64 * max(up, down)) // 2
     kernel = firwin(2 * half + 1, 1.0 / max(up, down), window=("kaiser", 8.6))
     kernel.setflags(write=False)
-    return kernel
-
-
-@functools.lru_cache(maxsize=8)
-def _phase_gain(up: int, down: int) -> float:
-    """Largest L1 norm over the up phases of the kernel resample applies (scaled by
-    up): no output sample exceeds it times the largest |input| that sample reads."""
-    taps = np.abs(_resample_kernel(up, down)) * up
-    return max(float(taps[p::up].sum()) for p in range(up))
+    taps = np.abs(kernel) * up
+    return kernel, max(float(taps[p::up].sum()) for p in range(up))
 
 
 def resample_trimmed(
@@ -200,7 +196,7 @@ def resample_trimmed(
     """Exactly trim_silence(resample(clip, target_rate), threshold_db, cfg), byte
     for byte, resampling only the output frames the trim could keep.
 
-    Each output frame's RMS is at most B = _phase_gain times the largest
+    Each output frame's RMS is at most B = the kernel's gain times the largest
     |input| its outputs read. The frame with the largest B is resampled first;
     its RMS R0 is at most the loudest frame's, so a frame with B below
     R0 * 10**(-threshold_db / 20) is neither kept nor the loudest. Only the
@@ -212,7 +208,8 @@ def resample_trimmed(
         return trim_silence(resample(clip, target_rate), threshold_db, cfg)
     up, down = _reduced_ratio(clip.sample_rate, target_rate)
     cfg = cfg or FramingConfig()
-    half = len(_resample_kernel(up, down)) // 2
+    kernel, gain = _resample_kernel(up, down)
+    half = len(kernel) // 2
     n_in = len(clip.samples)
     n_out = -(-n_in * up // down)  # resample's output length, ceil(n_in * up / down)
     starts = np.arange(0, n_out, cfg.hop_length)  # output span of each trim frame
@@ -228,31 +225,24 @@ def resample_trimmed(
     peaks = np.maximum(np.maximum.reduceat(clip.samples, pairs)[::2],
                        -np.minimum.reduceat(clip.samples, pairs)[::2])
     peaks[last] = np.maximum(peaks[last], abs(clip.samples[-1]))
-    bound = peaks * (_phase_gain(up, down) * (1.0 + 1e-9))  # slack for rounding
+    bound = peaks * (gain * (1.0 + 1e-9))  # slack for rounding
     loudest = int(bound.argmax())
     if not np.isfinite(bound[loudest]):
         return trim_silence(resample(clip, target_rate), threshold_db, cfg)
-    frame = _resample_span(clip, target_rate, up, down, starts[loudest], ends[loudest])
-    r0 = frame_rms(padded_signal(AudioClip(frame, target_rate), cfg), cfg)[0]
+
+    def frames(first: int, final: int) -> AudioClip:
+        """Output frames first..final of resample(clip, target_rate), byte for
+        byte. The input slice starts on a multiple of down, so its output grid
+        is the clip's shifted by a * up samples, and it holds every input those
+        frames read."""
+        a = lo[first] // down
+        part = resample(AudioClip(clip.samples[a * down : hi[final]], clip.sample_rate),
+                        target_rate)
+        return AudioClip(part.samples[starts[first] - a * up : ends[final] - a * up], target_rate)
+
+    r0 = frame_rms(padded_signal(frames(loudest, loudest), cfg), cfg)[0]
     reach = np.flatnonzero(bound >= r0 * 10.0 ** (-threshold_db / 20.0))
-    span = _resample_span(clip, target_rate, up, down, starts[reach[0]], ends[reach[-1]])
-    return trim_silence(AudioClip(span, target_rate), threshold_db, cfg)
-
-
-def _resample_span(clip: AudioClip, target_rate: int, up: int, down: int,
-                   first: int, end: int) -> np.ndarray:
-    """Outputs [first, end) of resample(clip, target_rate), byte for byte.
-
-    Resamples only an input slice that starts on a multiple of down, so its
-    output grid is the clip's shifted by a whole number of samples, and that
-    reaches half a kernel past both ends of the span, so every output in the
-    span reads the same inputs as in the full call.
-    """
-    half = len(_resample_kernel(up, down)) // 2
-    a = max(0, -((half - first * down) // up)) // down
-    stop = min(len(clip.samples), ((end - 1) * down + half) // up + 1)
-    out = resample(AudioClip(clip.samples[a * down : stop], clip.sample_rate), target_rate)
-    return out.samples[first - a * up : end - a * up]
+    return trim_silence(frames(reach[0], reach[-1]), threshold_db, cfg)
 
 
 def trim_silence(

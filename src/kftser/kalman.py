@@ -50,7 +50,7 @@ lies in [0, 1], so this holds at every step.
 Only the q/r tune runs on numpy, and only on posteriors (renormalisation
 on, under 8 classes): every candidate q and every trajectory advance
 together, one time step per set of array calls. Any other batch, or one
-that meets a zero row sum, goes through filter_trajectory. The batch is
+with a gain of exactly 1, goes through filter_trajectory. The batch is
 sorted by length, longest first, and shrinks as trajectories end, so no
 step is spent on padding; each stretch between two lengths works on
 contiguous copies of the still-active state. The state is held
@@ -274,8 +274,17 @@ def _tune_means(measurement_list, cfg: KalmanConfig, qs: list[float]) -> np.ndar
 
     Checks every trajectory as filter_trajectory does. Only posteriors take
     the batched recursion below: renormalisation on (so every measurement
-    lies in [0, 1]), under 8 classes and no zero row sum. Any other batch
-    goes to _filtered_means.
+    lies in [0, 1]), under 8 classes and every gain below 1. Any other batch
+    goes to _filtered_means, before any step.
+
+    Below a gain of 1 no filtered row sums to 0, so the recursion never
+    needs the uniform fallback. The state sums to 1, so its largest entry is
+    about 1/dim or more, and for k < 1 (so k <= 1 - 2**-53) and a measurement
+    in [0, 1], x + k(z - x) keeps that entry positive in floating point too. A
+    gain rounds to exactly 1 only when r is below about 1e-16 of the predicted
+    variance: for q/r above about 1e16, or r below about 1e-16 at the first
+    step. The default grid tops out at 1. Were this wrong, np.divide would
+    warn on 0/0.
 
     Trajectories are sorted longest first (stably). Between two consecutive
     distinct lengths the same trajectories are active, the first n of the
@@ -297,12 +306,12 @@ def _tune_means(measurement_list, cfg: KalmanConfig, qs: list[float]) -> np.ndar
     evaluation.fuse_utterance's mean rule.
     """
     arrays = [_as_measurements(m, cfg) for m in measurement_list]
-    if not (cfg.renormalize and cfg.dim < 8):
-        return _filtered_means(arrays, cfg, qs)
     order = sorted(range(len(arrays)), key=lambda i: -arrays[i].shape[0])
     lengths = [arrays[i].shape[0] for i in order]
     t_max, batch, dim, n_q = lengths[0], len(arrays), cfg.dim, len(qs)
     gains = np.stack([_schedule(q, cfg.r, t_max)[1] for q in qs], axis=1).reshape(t_max, n_q, 1)
+    if not (cfg.renormalize and dim < 8) or (gains == 1.0).any():
+        return _filtered_means(arrays, cfg, qs)
     x = np.full((n_q, dim, batch), 1.0 / dim)
     total = np.zeros_like(x)
     fused = np.empty_like(x)
@@ -321,9 +330,6 @@ def _tune_means(measurement_list, cfg: KalmanConfig, qs: list[float]) -> np.ndar
             np.multiply(flat_step, g, out=flat_step)
             np.add(x, step, out=x)
             np.add.reduce(x, axis=1, keepdims=True, out=sums)
-            # not sums.all(): its Python wrapper costs more than the test
-            if np.count_nonzero(sums) < sums.size:
-                return _filtered_means(arrays, cfg, qs)
             np.divide(x, sums, out=x)
             np.add(total, x, out=total)
         ending = lengths.count(t_end)

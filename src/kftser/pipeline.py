@@ -103,7 +103,7 @@ def train_from_manifest(manifest: Manifest, features_dir: str | Path,
     train rows only and stored on the model.
     """
     if not manifest.train_indices:
-        raise ValueError("manifest has no train split; run the split step first")
+        raise KftserError("manifest has no train split; run the split step first")
     mats = load_features_for_indices(features_dir, manifest.train_indices)
     labels = _labels_for(manifest, manifest.train_indices)
     rows = np.vstack([fm.rows for fm in mats])
@@ -120,7 +120,7 @@ def tune_from_manifest(model: MlpModel, manifest: Manifest, features_dir: str | 
                        kcfg: KalmanConfig, ratios=DEFAULT_RATIO_GRID) -> TuneResult:
     """Grid-search the q/r ratio by fused utterance accuracy on the train split."""
     if not manifest.train_indices:
-        raise ValueError("manifest has no train split to tune on")
+        raise KftserError("manifest has no train split to tune on")
     mats = load_features_for_indices(features_dir, manifest.train_indices)
     return tune_qr_ratio([predict_frames(model, fm) for fm in mats],
                          _labels_for(manifest, manifest.train_indices), kcfg, ratios=ratios)
@@ -129,6 +129,6 @@ def tune_from_manifest(model: MlpModel, manifest: Manifest, features_dir: str | 
 def test_set(manifest: Manifest, features_dir: str | Path):
     """The test split's feature matrices and utterance labels."""
     if not manifest.test_indices:
-        raise ValueError("manifest has no test split; run the split step first")
+        raise KftserError("manifest has no test split; run the split step first")
     mats = load_features_for_indices(features_dir, manifest.test_indices)
     return mats, _labels_for(manifest, manifest.test_indices)

@@ -191,7 +191,10 @@ class TestExtract:
         ('{"learning_rte": 0.01}', "unknown config keys: learning_rte"),
         ('{"epochs": -1}', "invalid config: epochs must be >= 0"),
         ('{"fusion": 3}', "fusion must be str, got 3"),
-    ], ids=["unknown-key", "negative-epochs", "fusion-int"])
+        ('{"sample_rate": 1000003}', "sample_rate 1000003 is unreachable: cannot resample "
+         "44100 Hz to 1000003 Hz: the ratio 1000003/44100 in lowest terms has a term above "
+         "65,536"),
+    ], ids=["unknown-key", "negative-epochs", "fusion-int", "unreachable-sample-rate"])
     def test_config_errors_name_the_file(self, cli_ws, tmp_path, capsys, raw, message):
         """A config whose keys or values are wrong is a usage error that starts
         with the config file's path, like one that does not decode."""
@@ -621,9 +624,10 @@ class TestRun:
         bad_manifest = tmp_path / "unsplit.json"
         bad_manifest.write_text(json.dumps(raw))
         rc = main(["run", str(bad_manifest), "--out-dir", str(tmp_path / "run")])
-        assert rc == 2
+        assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err.startswith(f"error: {bad_manifest}: run needs a train and a test split")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "run" / "features").exists()
 
     def test_zero_r_fails_before_extracting(self, cli_ws, tmp_path, capsys):
@@ -636,6 +640,27 @@ class TestRun:
         assert captured.err == "error: tuning q as ratio*r needs kalman_r > 0, got kalman_r=0.0\n"
         assert captured.out == ""
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, split", [("train", "train"), ("tune", "train"),
+                                            ("evaluate", "test")])
+def test_unsplit_manifest_is_a_data_error(cli_ws, tmp_path, capsys, command, split):
+    """A manifest without the split a command needs is malformed data (exit 1),
+    reported in one line before anything is written."""
+    raw = json.loads(cli_ws["manifest"].read_text())
+    raw["train_indices"] = raw["test_indices"] = []
+    unsplit = tmp_path / "unsplit.json"
+    unsplit.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    outputs = {"train": ["--out", str(out)],
+               "tune": ["--checkpoint", str(cli_ws["ckpt"]), "--out", str(out)],
+               "evaluate": ["--checkpoint", str(cli_ws["ckpt"]), "--out-dir", str(out)]}
+    rc = main([command, str(unsplit), "--features", str(cli_ws["features"]), *outputs[command]])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: manifest has no {split} split")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == [unsplit]
 
 
 class TestLoggingEnv:

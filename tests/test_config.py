@@ -160,6 +160,7 @@ def test_overrides_beat_file_values_and_none_is_ignored():
     ({"epsilon": float("nan")}, "epsilon must be finite and > 0"),
     ({"epsilon": -1.0}, "epsilon must be finite and > 0"),
     ({"sample_rate": 0}, "sample_rate must be > 0"),
+    ({"sample_rate": 65537}, "sample_rate 65537 is unreachable: cannot resample 44100 Hz"),
     ({"n_mels": 0}, "n_mels must be >= 13"),
     ({"n_mels": 12}, "n_mels must be >= 13"),
     ({"frame_length": 1, "hop_length": 1}, "frame_length must be >= 2"),
@@ -185,6 +186,14 @@ def test_bad_values_rejected_at_load(tmp_path, capsys, raw, message):
     assert rc == 2
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+def test_standard_and_odd_sample_rates_load():
+    """Every rate CD audio and RAVDESS can be resampled to loads: 8 to 384 kHz
+    and an odd one such as 47,999 Hz."""
+    for rate in (8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000,
+                 88200, 96000, 176400, 192000, 352800, 384000, 47999):
+        assert PipelineConfig(sample_rate=rate).sample_rate == rate
 
 
 def test_field_types_checked():

@@ -235,12 +235,34 @@ class TestResample:
             assert 0.95 <= gain <= 1.05, f"{src} -> {dst}: gain {gain:.3f}"
 
     def test_kernel_is_built_once_and_read_only(self):
-        first = _resample_kernel(147, 320)  # 48 kHz -> 22,050 Hz
+        pair = _resample_kernel(147, 320)  # 48 kHz -> 22,050 Hz
+        first = pair[0]
         assert len(first) == 64 * 320 + 1
-        assert _resample_kernel(147, 320) is first
+        assert _resample_kernel(147, 320) is pair
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0] = 1.0
+
+    @pytest.mark.parametrize("src", [48000, 44100])
+    def test_no_output_exceeds_the_kernel_gain(self, rng, src):
+        """No output exceeds the gain times the largest |input|, within the
+        1e-9 slack resample_trimmed allows for rounding, and an input whose
+        signs follow the loudest phase's taps meets the gain: output m reads
+        x[k] with weight up * kernel[half + m * down - k * up]."""
+        up, down = _reduced_ratio(src, 22050)
+        kernel, gain = _resample_kernel(up, down)
+        half = len(kernel) // 2
+        n = 4000
+        phase = max(range(up), key=lambda p: float(np.abs(kernel[p::up]).sum()))
+        m = (phase - half) * pow(down, -1, up) % up + up * (n * up // down // 2 // up)
+        idx = half + m * down - np.arange(n) * up
+        aligned = np.zeros(n)
+        reads = (idx >= 0) & (idx <= 2 * half)
+        aligned[reads] = np.sign(kernel[idx[reads]])
+        for x in (rng.uniform(-1.0, 1.0, n), rng.choice([-1.0, 1.0], n), aligned):
+            out = resample(AudioClip(x, src), 22050).samples
+            assert np.abs(out).max() <= gain * np.abs(x).max() * (1.0 + 1e-9)
+        assert out[m] >= gain * (1.0 - 1e-9)
 
     def test_duration_within_one_period(self, rng):
         clip = AudioClip(rng.normal(size=33077), 44100)

@@ -3,6 +3,7 @@ import hashlib
 import re
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -651,10 +652,10 @@ _NOISE_SCALES = (0.0, 1e-300, 1e-3, 1.0, 1e300)
 
 
 @st.composite
-def _unit_rows(draw):
-    """(T, dim) rows in [0, 1] at widths 1 to 12, rich in the edge values and
-    in rows of zeros."""
-    dim = draw(st.integers(min_value=1, max_value=12))
+def _unit_rows(draw, dims=st.integers(min_value=1, max_value=12)):
+    """(T, dim) rows in [0, 1] at widths drawn from dims (1 to 12), rich in the
+    edge values and in rows of zeros."""
+    dim = draw(dims)
     t_steps = draw(st.integers(min_value=1, max_value=30))
     element = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(min_value=0.0, max_value=1.0))
     z = draw(hnp.arrays(np.float64, (t_steps, dim), elements=element))
@@ -706,6 +707,66 @@ class TestMeasurementRange:
         off = replace(cfg, renormalize=False)
         for z, rows in zip(trajs, filter_batch(trajs, off)):
             assert rows.tobytes() == _numpy_filter(z, off)[0].tobytes()
+
+
+@st.composite
+def _unit_batches(draw):
+    """1 to 4 trajectories of _unit_rows at one width from 1 to 7, the widths
+    the batched tune serves."""
+    dim = draw(st.integers(min_value=1, max_value=7))
+    return draw(st.lists(_unit_rows(dims=st.just(dim)), min_size=1, max_size=4))
+
+
+class _StepCounter:
+    """numpy for kalman's globals, counting np.subtract calls: each step of the
+    batched tune opens with one."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def subtract(self, *args, **kwargs):
+        self.steps += 1
+        return np.subtract(*args, **kwargs)
+
+
+class TestTuneDispatch:
+    """The tune picks its path before its loop: the batched recursion unless a
+    gain is exactly 1, which it is at ratio 1e301 but below 1 up to 1e15."""
+
+    @given(trajs=_unit_batches(),
+           ratios=st.lists(st.one_of(st.sampled_from([0.0, 1e-4, 1.0, 1e15]),
+                                     st.floats(min_value=0.0, max_value=1e15)),
+                           min_size=1, max_size=3),
+           r=st.sampled_from([1e-3, 0.1, 10.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_gains_below_one_never_leave_the_batched_recursion(self, trajs, ratios, r):
+        """All-zero rows included: below a gain of 1 no filtered row sums to 0,
+        and the batched means equal _filtered_means' byte for byte (at dim 1
+        every renormalised row is exactly 1.0, so its mean is too)."""
+        cfg = KalmanConfig(dim=trajs[0].shape[1], r=r)
+        qs = [ratio * r for ratio in ratios]
+        exact = kalman._filtered_means
+        with mock.patch.object(kalman, "_filtered_means",
+                               side_effect=AssertionError("left the batched recursion")):
+            got = kalman._tune_means(trajs, cfg, qs)
+        assert got.tobytes() == exact(trajs, cfg, qs).tobytes()
+
+        # a gain of exactly 1 sends the batch to the exact path before any step
+        counter, steps_at_call = _StepCounter(), []
+
+        def exact_path(arrays, cfg, qs):
+            steps_at_call.append(counter.steps)
+            return exact(arrays, cfg, qs)
+
+        qs.append(1e301 * r)
+        with mock.patch.object(kalman, "np", counter), \
+                mock.patch.object(kalman, "_filtered_means", exact_path):
+            got = kalman._tune_means(trajs, cfg, qs)
+        assert steps_at_call == [0]
+        assert got.tobytes() == exact(trajs, cfg, qs).tobytes()
 
 
 class TestRtsSmoother:

@@ -101,10 +101,10 @@ class TestFeatureStore:
 class TestDatasetAssembly:
     def test_training_requires_a_split(self, tone_workspace):
         unsplit = Manifest(records=tone_workspace["manifest"].records)
-        with pytest.raises(ValueError, match="train split"):
+        with pytest.raises(KftserError, match="train split"):
             train_from_manifest(unsplit, tone_workspace["features_dir"],
                                 tone_workspace["cfg"])
-        with pytest.raises(ValueError, match="test split"):
+        with pytest.raises(KftserError, match="test split"):
             load_test_set(unsplit, tone_workspace["features_dir"])
 
     def test_trained_model_carries_the_scaler(self, tone_workspace):
