@@ -11,7 +11,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import pipeline
@@ -161,9 +161,8 @@ def cmd_tune(args) -> int:
     manifest = Manifest.load(args.manifest)
     model = _checked_model(args.checkpoint)
     result = pipeline.tune_from_manifest(model, manifest, args.features, kcfg, ratios=ratios)
-    payload = {"best_ratio": result.best_ratio, "best_q": result.best_q,
-               "accuracies": {str(k): v for k, v in result.accuracies.items()}}
-    write_json(args.out, payload)
+    write_json(args.out, {**asdict(result),
+                          "accuracies": {str(k): v for k, v in result.accuracies.items()}})
     _print_tune(result, cfg.fusion)
     return 0
 

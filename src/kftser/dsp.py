@@ -172,7 +172,9 @@ def _reduced_ratio(rate: int, target_rate: int) -> tuple[int, int]:
     return up, down
 
 
-@functools.lru_cache(maxsize=8)
+# Two entries hold the kernels for 44.1 and 48 kHz audio; a kernel near the
+# ratio bound is 34 MB, so the cache is bounded by what it may keep alive.
+@functools.lru_cache(maxsize=2)
 def _resample_kernel(up: int, down: int) -> tuple[np.ndarray, float]:
     """The anti-aliasing FIR for one up/down pair, built once and shared
     read-only, and its gain: the largest L1 norm over the up phases of the

@@ -5,7 +5,7 @@ exercise the filtering stage without any audio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,8 @@ from .manifest import CLASS_NAMES, write_csv, write_json
 from .mlp import MlpModel, predict_frames
 
 FUSION_RULES = ("mean", "max", "final")
+# EvalReport's per-class score arrays, in the order its files and table list them
+_SCORES = ("precision", "recall", "f1")
 
 
 def fuse_utterance(smoothed: np.ndarray, rule: str = "mean"):
@@ -96,7 +98,9 @@ class EvalReport:
     """Per-class precision/recall/F1/support plus the usual averages, all
     computed here from one confusion matrix; a zero denominator scores 0.
 
-    Stored values are full precision; display rounds to 2 decimals.
+    averages maps "macro_avg" and "weighted_avg" to each score's plain and
+    support-weighted mean, in the order the report files list them. Stored
+    values are full precision; display rounds to 2 decimals.
     """
 
     def __init__(self, confusion: ConfusionMatrix):
@@ -114,37 +118,24 @@ class EvalReport:
         self.f1 = np.divide(2.0 * self.precision * self.recall, pr_sum,
                             out=np.zeros_like(diag), where=pr_sum > 0)
         self.accuracy = float(diag.sum() / total)
-        self.macro_precision = float(self.precision.mean())
-        self.macro_recall = float(self.recall.mean())
-        self.macro_f1 = float(self.f1.mean())
         weights = self.support / total
-        self.weighted_precision = float(self.precision @ weights)
-        self.weighted_recall = float(self.recall @ weights)
-        self.weighted_f1 = float(self.f1 @ weights)
+        self.averages = {
+            "macro_avg": {score: float(getattr(self, score).mean()) for score in _SCORES},
+            "weighted_avg": {score: float(getattr(self, score) @ weights) for score in _SCORES},
+        }
+
+    def _class_scores(self, i: int) -> dict:
+        return {score: float(getattr(self, score)[i]) for score in _SCORES}
 
     def to_dict(self) -> dict:
-        names = self.confusion.class_names
+        classes = {
+            name: {**self._class_scores(i), "support": int(self.support[i])}
+            for i, name in enumerate(self.confusion.class_names)
+        }
         return {
-            "classes": {
-                name: {
-                    "precision": float(self.precision[i]),
-                    "recall": float(self.recall[i]),
-                    "f1": float(self.f1[i]),
-                    "support": int(self.support[i]),
-                }
-                for i, name in enumerate(names)
-            },
+            "classes": classes,
             "accuracy": self.accuracy,
-            "macro_avg": {
-                "precision": self.macro_precision,
-                "recall": self.macro_recall,
-                "f1": self.macro_f1,
-            },
-            "weighted_avg": {
-                "precision": self.weighted_precision,
-                "recall": self.weighted_recall,
-                "f1": self.weighted_f1,
-            },
+            **self.averages,
             "confusion": self.confusion.counts.tolist(),
         }
 
@@ -153,25 +144,21 @@ class EvalReport:
 
     def format_table(self) -> str:
         names = self.confusion.class_names
+        total = self.confusion.total
         width = max(12, max(len(n) for n in names) + 2)
+
+        def row(label: str, scores: dict, support: int) -> str:
+            cells = "".join(f"{score:>10.2f}" for score in scores.values())
+            return f"{label:<{width}}{cells}{support:>10d}"
+
         head = f"{'':<{width}}{'precision':>10}{'recall':>10}{'f1-score':>10}{'support':>10}"
         lines = [head, ""]
         for i, name in enumerate(names):
-            lines.append(
-                f"{name:<{width}}{self.precision[i]:>10.2f}{self.recall[i]:>10.2f}"
-                f"{self.f1[i]:>10.2f}{self.support[i]:>10d}"
-            )
-        total = self.confusion.total
+            lines.append(row(name, self._class_scores(i), self.support[i]))
         lines.append("")
         lines.append(f"{'accuracy':<{width}}{'':>10}{'':>10}{self.accuracy:>10.2f}{total:>10d}")
-        lines.append(
-            f"{'macro avg':<{width}}{self.macro_precision:>10.2f}{self.macro_recall:>10.2f}"
-            f"{self.macro_f1:>10.2f}{total:>10d}"
-        )
-        lines.append(
-            f"{'weighted avg':<{width}}{self.weighted_precision:>10.2f}"
-            f"{self.weighted_recall:>10.2f}{self.weighted_f1:>10.2f}{total:>10d}"
-        )
+        for key, scores in self.averages.items():
+            lines.append(row(key.replace("_", " "), scores, total))
         return "\n".join(lines)
 
 
@@ -196,11 +183,7 @@ class GainReport:
         return self.utterance_level_accuracy - self.frame_level_accuracy
 
     def to_dict(self) -> dict:
-        return {
-            "frame_level_accuracy": self.frame_level_accuracy,
-            "utterance_level_accuracy": self.utterance_level_accuracy,
-            "absolute_gain": self.absolute_gain,
-        }
+        return {**asdict(self), "absolute_gain": self.absolute_gain}
 
     def save_json(self, path: str | Path) -> None:
         write_json(path, self.to_dict())

@@ -15,7 +15,7 @@ import logging
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -111,14 +111,7 @@ class Manifest:
     def to_dict(self) -> dict:
         return {
             "records": [
-                {
-                    "file_path": r.file_path,
-                    "emotion": r.emotion.label,
-                    "actor_id": r.actor_id,
-                    "intensity": r.intensity,
-                    "statement": r.statement,
-                    "repetition": r.repetition,
-                }
+                {f.name: _json_value(getattr(r, f.name)) for f in fields(UtteranceRecord)}
                 for r in self.records
             ],
             "split_seed": self.split_seed,
@@ -130,19 +123,12 @@ class Manifest:
     def from_dict(cls, raw: dict) -> "Manifest":
         """to_dict's inverse; load checks the split indices."""
         records = [
-            UtteranceRecord(
-                file_path=_field(r, "file_path", str),
-                emotion=Emotion.from_label(r["emotion"]),
-                actor_id=_field(r, "actor_id", int),
-                intensity=_field(r, "intensity", str),
-                statement=_field(r, "statement", int),
-                repetition=_field(r, "repetition", int),
-            )
+            UtteranceRecord(**{f.name: _field(r, f.name, f.type) for f in fields(UtteranceRecord)})
             for r in raw["records"]
         ]
         return cls(
             records=records,
-            split_seed=_field(raw, "split_seed", int),
+            split_seed=_field(raw, "split_seed", "int"),
             train_indices=list(raw["train_indices"]),
             test_indices=list(raw["test_indices"]),
         )
@@ -173,14 +159,22 @@ class Manifest:
         return manifest
 
 
-def _field(record: dict, key: str, kind: type):
-    """record[key]; TypeError unless its type is exactly kind (str or int).
+def _json_value(value):
+    """A record field as JSON holds it: an emotion as its label."""
+    return value.label if isinstance(value, Emotion) else value
 
-    type, not isinstance, as for the split indices: true is a bool.
+
+def _field(record: dict, key: str, kind: str):
+    """record[key] as a field annotated kind: an "Emotion" read from its label,
+    a "str" or an "int" as it is, with TypeError unless its type is exactly that.
+
+    The type's name, not isinstance, as for the split indices: true is a bool.
     """
     value = record[key]
-    if type(value) is not kind:
-        raise TypeError(f"{key} must be {'a string' if kind is str else 'an integer'}, "
+    if kind == "Emotion":
+        return Emotion.from_label(value)
+    if type(value).__name__ != kind:
+        raise TypeError(f"{key} must be {'a string' if kind == 'str' else 'an integer'}, "
                         f"got {value!r}")
     return value
 
@@ -335,6 +329,10 @@ _PROFILES = {
 
 _EMOTION_TO_CODE = {e: code for code, e in _EMOTION_CODES.items()}
 
+# A WAV's size fields are 32-bit: the RIFF size, 36 + 2 bytes per sample, must fit.
+_U32_MAX = 2**32 - 1
+_MAX_WAV_SAMPLES = (_U32_MAX - 36) // 2
+
 
 def _envelope(kind: str, t: np.ndarray) -> np.ndarray:
     t_end = t[-1] if len(t) > 1 else 1.0
@@ -389,7 +387,10 @@ def generate_synthetic_dataset(
 
     Each class gets a distinct fundamental band, amplitude level, noise
     level, and envelope, so the classes are separable by the standard
-    feature set. Bit-identical output for a fixed seed.
+    feature set. Bit-identical output for a fixed seed. Every argument is
+    checked before anything is written or allocated, including that a 16-bit
+    WAV can hold the clip: at most 2,147,483,629 samples, at a sample_rate
+    whose byte rate (2 x sample_rate) fits 32 bits.
     """
     if per_class < 1:
         raise ValueError(f"per_class must be >= 1, got {per_class}")
@@ -399,6 +400,13 @@ def generate_synthetic_dataset(
         raise ValueError(f"duration must be finite and >= 0.5 s, got {duration}")
     if sample_rate < 1:
         raise ValueError(f"sample_rate must be >= 1 Hz, got {sample_rate}")
+    if 2 * sample_rate > _U32_MAX:
+        raise ValueError(f"sample_rate must be <= {_U32_MAX // 2:,} Hz, so that the WAV "
+                         f"header's byte rate fits 32 bits, got {sample_rate}")
+    n_samples = sample_rate * duration
+    if not (math.isfinite(n_samples) and round(n_samples) <= _MAX_WAV_SAMPLES):
+        raise ValueError(f"duration must give at most {_MAX_WAV_SAMPLES:,} samples, the most "
+                         f"a 16-bit WAV holds, at {sample_rate} Hz, got {duration} s")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)

@@ -69,7 +69,10 @@ class TestSynthAndManifest:
         ("--duration", "inf", "duration"), ("--duration", "nan", "duration"),
         ("--sample-rate", "0", "sample_rate"), ("--sample-rate", "-5", "sample_rate"),
         ("--test-fraction", "1.5", "test_fraction"), ("--test-fraction", "0", "test_fraction"),
-        ("--test-fraction", "nan", "test_fraction"), ("--seed", "-1", "seed")])
+        ("--test-fraction", "nan", "test_fraction"), ("--seed", "-1", "seed"),
+        # refused before any array is made: a 16-bit WAV cannot hold the clip or its rate
+        ("--duration", "1e308", "duration"), ("--duration", "1e6", "duration"),
+        ("--sample-rate", "2147483648", "sample_rate")])
     def test_synth_bad_numbers_are_usage_errors(self, tmp_path, capsys, option, value, name):
         """Checked before anything is written: no directory, no WAV."""
         out_dir = tmp_path / "audio"

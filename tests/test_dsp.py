@@ -243,6 +243,20 @@ class TestResample:
         with pytest.raises(ValueError):
             first[0] = 1.0
 
+    def test_cache_keeps_the_last_two_kernels(self):
+        """A third ratio evicts the least recently used kernel, which is rebuilt."""
+        _resample_kernel.cache_clear()
+        first = _resample_kernel(147, 320)  # 48 kHz -> 22,050 Hz
+        second = _resample_kernel(1, 2)  # 44.1 kHz -> 22,050 Hz
+        third = _resample_kernel(2, 3)
+        assert _resample_kernel.cache_info().currsize == 2
+        assert _resample_kernel(1, 2) is second
+        assert _resample_kernel(2, 3) is third
+        rebuilt = _resample_kernel(147, 320)
+        assert rebuilt is not first
+        assert rebuilt[0].tobytes() == first[0].tobytes() and rebuilt[1] == first[1]
+        assert _resample_kernel.cache_info().currsize == 2
+
     @pytest.mark.parametrize("src", [48000, 44100])
     def test_no_output_exceeds_the_kernel_gain(self, rng, src):
         """No output exceeds the gain times the largest |input|, within the

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kftser import cli, pipeline
 from kftser.evaluation import (
     ConfusionMatrix,
     GainReport,
@@ -16,7 +17,8 @@ from kftser.evaluation import (
     fuse_utterance,
     synth_noisy_trajectories,
 )
-from kftser.kalman import KalmanConfig, filter_batch
+from kftser.kalman import DEFAULT_RATIO_GRID, KalmanConfig, TuneResult, filter_batch
+from kftser.manifest import Manifest
 from kftser.mlp import MlpModel
 
 
@@ -129,7 +131,7 @@ class TestClassificationReport:
         np.testing.assert_array_equal(report.recall, np.ones(4))
         np.testing.assert_array_equal(report.f1, np.ones(4))
         assert report.accuracy == 1.0
-        assert report.macro_f1 == 1.0
+        assert report.averages["macro_avg"]["f1"] == 1.0
 
     def test_known_matrix_values(self):
         counts = np.array(
@@ -163,7 +165,7 @@ class TestClassificationReport:
         if counts.sum() == 0:
             counts[0, 0] = 1
         report = classification_report(ConfusionMatrix(counts=counts))
-        assert np.isclose(report.accuracy, report.weighted_recall, atol=1e-12)
+        assert np.isclose(report.accuracy, report.averages["weighted_avg"]["recall"], atol=1e-12)
 
     def test_dict_and_json_round_trip(self, tmp_path):
         cm = confusion_matrix([0, 1, 2, 3, 2], [0, 1, 2, 3, 3])
@@ -319,7 +321,7 @@ class TestReportGoldenBytes:
         assert report.to_dict()["classes"]["happy"] == {
             "precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 0}
         assert report.accuracy == 9 / 16
-        assert report.macro_recall == (0.8 + 5 / 7) / 4
+        assert report.averages["macro_avg"]["recall"] == (0.8 + 5 / 7) / 4
 
     def test_gain_report_from_the_pipeline(self, tmp_path):
         trajs, labels = synth_noisy_trajectories(8, 25, flip_prob=0.6, seed=0)
@@ -330,6 +332,44 @@ class TestReportGoldenBytes:
             '  "absolute_gain": 0.22499999999999998\n}\n'
         )
         assert result.utterance_accuracy == result.report.accuracy == 0.625
+
+    def test_tune_file_and_printout(self, tmp_path, monkeypatch, capsys):
+        """kftser tune's JSON and printed lines for a fixed result whose grid ties."""
+        result = TuneResult(best_ratio=1e-4, best_q=1e-4 * 0.1,
+                            accuracies={ratio: 7 / 12 for ratio in DEFAULT_RATIO_GRID})
+        monkeypatch.setattr(cli, "_checked_model", lambda path: None)
+        monkeypatch.setattr(pipeline, "tune_from_manifest", lambda *args, **kwargs: result)
+        Manifest(records=[]).save(tmp_path / "manifest.json")
+        assert cli.main(["tune", str(tmp_path / "manifest.json"), "--features", str(tmp_path),
+                         "--checkpoint", str(tmp_path / "model.ckpt"),
+                         "--out", str(tmp_path / "tune.json")]) == 0
+        assert (tmp_path / "tune.json").read_text() == TUNE_FILE_GOLDEN
+        assert capsys.readouterr().out == TUNE_PRINTOUT_GOLDEN
+
+
+TUNE_FILE_GOLDEN = """\
+{
+  "best_ratio": 0.0001,
+  "best_q": 1e-05,
+  "accuracies": {
+    "0.0001": 0.5833333333333334,
+    "0.001": 0.5833333333333334,
+    "0.01": 0.5833333333333334,
+    "0.1": 0.5833333333333334,
+    "1.0": 0.5833333333333334
+  }
+}
+"""
+
+TUNE_PRINTOUT_GOLDEN = """\
+ratio 0.0001: accuracy 0.5833
+ratio 0.001: accuracy 0.5833
+ratio 0.01: accuracy 0.5833
+ratio 0.1: accuracy 0.5833
+ratio 1: accuracy 0.5833
+best ratio: 0.0001 (q=1e-05)
+note: all 5 ratios tie at accuracy 0.5833, so the pick is the smallest ratio, the edge of the grid
+"""
 
 
 class TestSynthTrajectories:
