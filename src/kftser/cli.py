@@ -1,7 +1,8 @@
 """Command-line surface for the whole pipeline.
 
 Subcommands: manifest, extract, train, evaluate, trajectory, tune, synth, run.
-Exit codes: 0 success, 1 runtime or I/O failure, 2 usage or argument error.
+Exit codes: 0 success, 1 runtime or I/O failure (numeric overflow or an
+invalid result included), 2 usage or argument error.
 KFTSER_LOG (error|warn|info|debug) sets logging verbosity.
 """
 
@@ -13,6 +14,8 @@ import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import pipeline
 from .config import PipelineConfig
@@ -161,8 +164,7 @@ def cmd_tune(args) -> int:
     manifest = Manifest.load(args.manifest)
     model = _checked_model(args.checkpoint)
     result = pipeline.tune_from_manifest(model, manifest, args.features, kcfg, ratios=ratios)
-    write_json(args.out, {**asdict(result),
-                          "accuracies": {str(k): v for k, v in result.accuracies.items()}})
+    write_json(args.out, asdict(result))
     _print_tune(result, cfg.fusion)
     return 0
 
@@ -286,11 +288,14 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        return int(args.func(args) or 0)
+        # a model or .feat file whose values overflow stops at the first bad
+        # array operation, as a runtime failure, rather than going on as NaN
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return int(args.func(args) or 0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KftserError, OSError) as exc:
+    except (KftserError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

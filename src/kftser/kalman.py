@@ -343,13 +343,12 @@ def _tune_means(measurement_list, cfg: KalmanConfig, qs: list[float]) -> np.ndar
 class SmoothedTrajectory:
     """One trajectory's forward pass: measurements in, filtered states out.
 
-    The (T,) predicted and filtered variances are kept so the
-    fixed-interval smoother can run from this object alone.
+    It holds no variances: they depend only on (q, r, T), so rts_smooth
+    reads them from the cached schedule and must get the config that
+    filtered this trajectory.
     """
 
     filtered: np.ndarray
-    predicted_var: np.ndarray
-    filtered_var: np.ndarray
 
     @property
     def n_steps(self) -> int:
@@ -371,12 +370,9 @@ def filter_trajectory(measurements: np.ndarray, cfg: KalmanConfig) -> SmoothedTr
     finite, and, with renormalisation on, lies in [0, 1].
     """
     z = _as_measurements(measurements, cfg)
-    t_steps = z.shape[0]
-    p_pred, gains, p_filt = _schedule(cfg.q, cfg.r, t_steps)
-    filter_rows = _row_loops(cfg.dim)[0]
-    flat = filter_rows(z.ravel().tolist(), gains.tolist(), cfg.renormalize, 1.0 / cfg.dim)
-    return SmoothedTrajectory(filtered=np.fromiter(flat, np.float64, len(flat)).reshape(z.shape),
-                              predicted_var=p_pred.copy(), filtered_var=p_filt.copy())
+    gains = _schedule(cfg.q, cfg.r, z.shape[0])[1].tolist()
+    flat = _row_loops(cfg.dim)[0](z.ravel().tolist(), gains, cfg.renormalize, 1.0 / cfg.dim)
+    return SmoothedTrajectory(filtered=np.fromiter(flat, np.float64, len(flat)).reshape(z.shape))
 
 
 def filter_batch(measurement_list, cfg: KalmanConfig) -> list[np.ndarray]:
@@ -391,26 +387,25 @@ def filter_batch(measurement_list, cfg: KalmanConfig) -> list[np.ndarray]:
 def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
     """Backward fixed-interval pass; returns the (T, dim) smoothed means.
 
-    Under F = I the predicted mean at t+1 is the filtered mean at t, and the
-    smoother gain is the scalar filtered_var[t] / predicted_var[t+1]. The
-    final smoothed step equals the final filtered step exactly. The pass is
-    _row_loops' smoother loop, generated once per row width (about 1 ms on
-    first use): n = a + g*(n - a) per element on Python floats, from the last
-    row backwards, the operations of a numpy row loop in its order and so its
-    bits, at a fraction of its per-call cost. The rows go in and come out last
-    first, each as one flat list, and one copy puts them back in time order.
+    cfg must be the config that filtered st: the variances come from its
+    (q, r) schedule, not from st. Under F = I the predicted mean at t+1 is
+    the filtered mean at t, and the smoother gain is the scalar
+    p_t / p_{t+1}^p, the filtered variance at t over the predicted variance
+    at t+1. The final smoothed step equals the final filtered step exactly.
+    The pass is _row_loops' smoother loop, generated once per row width
+    (about 1 ms on first use): n = a + g*(n - a) per element on Python
+    floats, from the last row backwards, the operations of a numpy row loop
+    in its order and so its bits, at a fraction of its per-call cost. The
+    rows go in and come out last first, each as one flat list, and one copy
+    puts them back in time order.
 
-    Raises ValueError unless filtered is (T, cfg.dim) with T >= 1 and both
-    variances are (T,).
+    Raises ValueError unless filtered is (T, cfg.dim) with T >= 1.
     """
     shape = st.filtered.shape
     if len(shape) != 2 or shape[0] < 1 or shape[1] != cfg.dim:
         raise ValueError(f"filtered must be T x {cfg.dim} with T >= 1, got {shape}")
-    for name in ("predicted_var", "filtered_var"):
-        if getattr(st, name).shape != shape[:1]:
-            raise ValueError(f"{name} must have shape {shape[:1]}, "
-                             f"got {getattr(st, name).shape}")
-    gain = (st.filtered_var[-2::-1] / st.predicted_var[:0:-1]).tolist()
+    p_pred, _, p_filt = _schedule(cfg.q, cfg.r, shape[0])
+    gain = (p_filt[-2::-1] / p_pred[:0:-1]).tolist()
     flat = _row_loops(cfg.dim)[1](st.filtered[::-1].ravel().tolist(), gain)
     means = np.fromiter(flat, np.float64, len(flat)).reshape(shape)
     return means[::-1].copy()
@@ -474,13 +469,7 @@ def tune_qr_ratio(measurement_list, labels, cfg: KalmanConfig,
     check_tunable(cfg)
     qs = [replace(cfg, q=ratio * cfg.r).q for ratio in ratios]  # validates each q
     fused = _tune_means(measurement_list, cfg, qs)
-    preds = fused.argmax(axis=-1)
-    accuracies = {}
-    best_ratio, best_acc = None, -1.0
-    for ratio, pred in zip(ratios, preds):
-        acc = float(np.mean(pred == labels))
-        accuracies[ratio] = acc
-        if acc > best_acc:
-            best_ratio, best_acc = ratio, acc
-    return TuneResult(best_ratio=best_ratio, best_q=best_ratio * cfg.r,
-                      accuracies=accuracies)
+    accuracies = {ratio: float(np.mean(pred == labels))
+                  for ratio, pred in zip(ratios, fused.argmax(axis=-1))}
+    best_ratio = max(accuracies, key=accuracies.get)  # the first maximum: the smallest ratio
+    return TuneResult(best_ratio=best_ratio, best_q=best_ratio * cfg.r, accuracies=accuracies)

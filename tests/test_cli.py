@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import shutil
 import struct
 import subprocess
@@ -483,6 +484,36 @@ def test_checkpoint_of_the_wrong_input_width_is_a_runtime_error(cli_ws, tmp_path
     assert rc == 1
     assert capsys.readouterr().err == (f"error: {path}: checkpoint input width 10 does not "
                                        "match the 41 features per frame\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "trajectory", "tune", "train"])
+def test_overflowing_inputs_are_a_runtime_error(cli_ws, tmp_path, capsys, command):
+    """Finite inputs whose arithmetic overflows, a checkpoint of 1e200
+    parameters or a train-split .feat of 1e308 values, stop at the first
+    overflow: exit 1, one error line, no RuntimeWarning (the test run turns
+    each into an error), and no output."""
+    model = load_checkpoint(cli_ws["ckpt"])
+    model.params[:] = 1e200
+    ckpt = tmp_path / "huge.ckpt"
+    save_checkpoint(model, ckpt)
+    features = tmp_path / "features"
+    shutil.copytree(cli_ws["features"], features)
+    victim = features / f"{Manifest.load(cli_ws['manifest']).train_indices[0]:05d}.feat"
+    save_features(FeatureMatrix(rows=np.full((5, 41), 1e308)), victim)
+    out = tmp_path / "out"
+    inputs = {"evaluate": [str(cli_ws["manifest"]), "--features", str(cli_ws["features"]),
+                           "--checkpoint", str(ckpt), "--out-dir", str(out)],
+              "trajectory": [str(sorted(cli_ws["audio"].glob("*.wav"))[0]),
+                             "--checkpoint", str(ckpt), "--out", str(out)],
+              "tune": [str(cli_ws["manifest"]), "--features", str(cli_ws["features"]),
+                       "--checkpoint", str(ckpt), "--out", str(out)],
+              "train": [str(cli_ws["manifest"]), "--features", str(features),
+                        "--out", str(out), "--epochs", "1"]}
+    assert main([command, *inputs[command]]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: [^\n]*overflow[^\n]*\n", captured.err)
+    assert captured.out == ""
     assert not out.exists()
 
 

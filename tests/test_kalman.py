@@ -94,23 +94,22 @@ class TestSingleSteps:
             out = filter_trajectory(z, KalmanConfig(dim=dim, renormalize=False)).filtered
             np.testing.assert_array_equal(out, z)
 
-    def test_predict_identity_no_noise_is_a_fixed_point(self, rng):
-        traj = filter_trajectory(rng.uniform(0, 1, size=(5, 4)), KalmanConfig(q=0.0))
-        assert traj.predicted_var[0] == 1.0
-        np.testing.assert_array_equal(traj.predicted_var[1:], traj.filtered_var[:-1])
+    def test_predict_identity_no_noise_is_a_fixed_point(self):
+        p_pred, _, p_filt = kalman._schedule(0.0, 0.1, 5)
+        assert p_pred[0] == 1.0
+        np.testing.assert_array_equal(p_pred[1:], p_filt[:-1])
 
-    def test_predict_adds_process_noise(self, rng):
-        traj = filter_trajectory(rng.uniform(0, 1, size=(5, 4)), KalmanConfig(q=0.01))
-        assert traj.predicted_var[0] == pytest.approx(1.01, abs=1e-15)
-        np.testing.assert_allclose(traj.predicted_var[1:], traj.filtered_var[:-1] + 0.01,
-                                   rtol=0, atol=1e-15)
+    def test_predict_adds_process_noise(self):
+        p_pred, _, p_filt = kalman._schedule(0.01, 0.1, 5)
+        assert p_pred[0] == pytest.approx(1.01, abs=1e-15)
+        np.testing.assert_allclose(p_pred[1:], p_filt[:-1] + 0.01, rtol=0, atol=1e-15)
 
     def test_correct_scalar_halves_the_innovation(self):
         cfg = KalmanConfig(dim=2, q=0.0, r=1.0, renormalize=False)
         traj = filter_trajectory(np.array([[1.0, 0.0]]), cfg)
         # gain = predicted / (predicted + r) = 1/2 from the unit prior variance
         np.testing.assert_allclose(traj.filtered[0], [0.75, 0.25], atol=1e-12)
-        assert np.isclose(traj.filtered_var[0], 0.5, atol=1e-12)
+        assert np.isclose(kalman._schedule(cfg.q, cfg.r, 1)[2][0], 0.5, atol=1e-12)
 
 
 class TestNoiseExtremes:
@@ -142,13 +141,12 @@ class TestTrajectoryProperties:
         for k in (1, 4, 9, 15):
             np.testing.assert_array_equal(filter_trajectory(z[:k], cfg).filtered, full[:k])
 
-    def test_covariances_stay_symmetric_positive(self, rng):
+    def test_covariances_stay_symmetric_positive(self):
         # every covariance is var * I: symmetric by construction, positive iff var > 0
-        cfg = KalmanConfig(q=0.05, r=0.3)
-        traj = filter_trajectory(rng.uniform(0, 1, size=(50, 4)), cfg)
-        assert traj.predicted_var.shape == traj.filtered_var.shape == (50,)
-        assert np.all(traj.filtered_var > 0.0)
-        assert np.all(traj.filtered_var < traj.predicted_var)
+        p_pred, _, p_filt = kalman._schedule(0.05, 0.3, 50)
+        assert p_pred.shape == p_filt.shape == (50,)
+        assert np.all(p_filt > 0.0)
+        assert np.all(p_filt < p_pred)
 
     def test_empty_and_misshapen_input_rejected(self):
         cfg = KalmanConfig()
@@ -179,11 +177,9 @@ class TestTrajectoryProperties:
 
 class TestGainSchedule:
     def test_steady_state_gain_shrinks_with_measurement_noise(self):
-        z = np.full((300, 4), 0.25)
         gain = []
         for r in (0.01, 0.1, 1.0, 10.0):
-            traj = filter_trajectory(z, KalmanConfig(q=1e-3, r=r))
-            gain.append(traj.filtered_var[-1] / r)  # k = p_filtered / r
+            gain.append(kalman._schedule(1e-3, r, 300)[2][-1] / r)  # k = p_filtered / r
         assert all(b < a for a, b in zip(gain, gain[1:]))
 
 
@@ -237,17 +233,6 @@ class TestScheduleCache:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
-    def test_trajectory_variances_own_their_data(self, rng):
-        cfg = KalmanConfig()
-        z = rng.dirichlet(np.ones(4), size=50)
-        first = filter_trajectory(z, cfg)
-        want = [first.predicted_var.tobytes(), first.filtered_var.tobytes()]
-        for var in (first.predicted_var, first.filtered_var):
-            assert var.flags.owndata and var.flags.writeable
-            var[:] = -1.0
-        again = filter_trajectory(z, cfg)
-        assert [again.predicted_var.tobytes(), again.filtered_var.tobytes()] == want
-
     def test_one_miss_per_q_and_bucket(self):
         """A tune-then-filter pass shaped like the posterior_filtering benchmark:
         the default grid, then filter and smooth every trajectory under the
@@ -267,12 +252,12 @@ class TestScheduleCache:
         assert misses == [len(keys), len(keys)]
 
 
-def _numpy_rts_smooth(st):
+def _numpy_rts_smooth(filtered, p_pred, p_filt):
     """rts_smooth as a numpy row loop: the reference for its float loop."""
-    means = st.filtered.copy()
-    gain = st.filtered_var[:-1] / st.predicted_var[1:]
-    for t in range(st.n_steps - 2, -1, -1):
-        means[t] = st.filtered[t] + gain[t] * (means[t + 1] - st.filtered[t])
+    means = filtered.copy()
+    gain = p_filt[:-1] / p_pred[1:]
+    for t in range(len(filtered) - 2, -1, -1):
+        means[t] = filtered[t] + gain[t] * (means[t + 1] - filtered[t])
     return means
 
 
@@ -303,7 +288,8 @@ class TestFilterBatch:
     @pytest.mark.parametrize("dim", [*range(1, 13), 15, 16, 17, 129, 200])
     def test_matches_per_trajectory_filtering(self, rng, dim, q, r, renorm):
         """filter_batch, filter_trajectory and a numpy row loop agree byte for
-        byte, variances included, and so do rts_smooth and its numpy row loop.
+        byte, the schedule's variances and the loop's included, and so do
+        rts_smooth and its numpy row loop.
         The widths cover every order of numpy's pairwise row sum: left to
         right below 8, eight partial sums up to 128, halves above that.
         Renormalised rows lie in [0, 1], with 0.0, -0.0 and all-zero rows, and
@@ -325,9 +311,11 @@ class TestFilterBatch:
             means, p_pred, p_filt = _numpy_filter(z, cfg)
             assert got.shape == st.filtered.shape == z.shape
             assert got.tobytes() == st.filtered.tobytes() == means.tobytes()
-            assert st.predicted_var.tobytes() == p_pred.tobytes()
-            assert st.filtered_var.tobytes() == p_filt.tobytes()
-            assert rts_smooth(st, cfg).tobytes() == _numpy_rts_smooth(st).tobytes()
+            sched_pred, _, sched_filt = kalman._schedule(q, r, len(z))
+            assert sched_pred.tobytes() == p_pred.tobytes()
+            assert sched_filt.tobytes() == p_filt.tobytes()
+            smoothed = _numpy_rts_smooth(means, p_pred, p_filt)
+            assert rts_smooth(st, cfg).tobytes() == smoothed.tobytes()
 
     def test_empty_batch_and_empty_trajectory(self):
         cfg = KalmanConfig()
@@ -363,7 +351,7 @@ def _mean_weights(q, r, t_steps, smoothed):
     RTS-smoothed rows), and the uniform start's weight.
 
     The smoother's s_{T-1} = x_{T-1} and s_t = x_t + g_t (s_{t+1} - x_t),
-    g_t = filtered_var[t] / predicted_var[t+1], combine filtered rows with
+    g_t = p_t / p_{t+1}^p from the schedule, combine filtered rows with
     fixed coefficients, so they combine the filtered rows' weights the same way.
     """
     p_pred, gains, p_filt = kalman._schedule(q, r, t_steps)
@@ -806,22 +794,17 @@ class TestRtsSmoother:
             tv["smoothed"] += np.abs(np.diff(smoothed, axis=0)).sum()
         assert tv["smoothed"] < tv["filtered"] < tv["raw"]
 
-    @pytest.mark.parametrize("cut, match", [
-        (dict(predicted_var=slice(5), filtered_var=slice(5)), "predicted_var must have shape"),
-        (dict(filtered_var=slice(5)), "filtered_var must have shape"),
-        (dict(filtered=(slice(None), slice(3))),
-         r"filtered must be T x 4 with T >= 1, got \(10, 3\)"),
-        (dict(filtered=slice(0), predicted_var=slice(0), filtered_var=slice(0)),
-         r"filtered must be T x 4 with T >= 1, got \(0, 4\)"),
-    ], ids=["variances-5-of-10", "filtered_var-5-of-10", "3-wide-under-dim-4", "empty"])
-    def test_inconsistent_trajectory_rejected(self, rng, cut, match):
-        """A trajectory whose arrays disagree with each other or with cfg.dim
-        is an error, not a smoothed result of the wrong shape."""
+    @pytest.mark.parametrize("index, match", [
+        ((slice(None), slice(3)), r"filtered must be T x 4 with T >= 1, got \(10, 3\)"),
+        (slice(0), r"filtered must be T x 4 with T >= 1, got \(0, 4\)"),
+    ], ids=["3-wide-under-dim-4", "empty"])
+    def test_inconsistent_trajectory_rejected(self, rng, index, match):
+        """Filtered rows that disagree with cfg.dim, or none at all, are an
+        error, not a smoothed result of the wrong shape."""
         cfg = KalmanConfig(dim=4)
         st = filter_trajectory(rng.dirichlet(np.ones(4), size=10), cfg)
-        bad = replace(st, **{name: getattr(st, name)[index] for name, index in cut.items()})
         with pytest.raises(ValueError, match=match):
-            rts_smooth(bad, cfg)
+            rts_smooth(replace(st, filtered=st.filtered[index]), cfg)
 
 
 class TestTuning:
