@@ -110,6 +110,14 @@ def _evaluate(model, kcfg, mats, labels, fusion, out_dir) -> None:
     print(f"reports written to {out_dir}")
 
 
+def _write_trajectory(model, fm, kcfg, out) -> int:
+    """Predict, filter and write one utterance's trajectory CSV; returns its frame count."""
+    posteriors = predict_frames(model, fm)
+    write_trajectory_csv(posteriors, filter_trajectory(posteriors, kcfg).filtered, out,
+                         model.class_order)
+    return len(posteriors)
+
+
 def cmd_manifest(args) -> int:
     manifest = build_manifest(args.root)
     manifest = split_manifest(manifest, args.test_fraction, args.seed)
@@ -147,10 +155,8 @@ def cmd_trajectory(args) -> int:
     cfg = _load_config(args)
     model = _checked_model(args.checkpoint)
     fm = pipeline.wav_to_features(args.audio, cfg, utterance_id=Path(args.audio).stem)
-    posteriors = predict_frames(model, fm)
-    st = filter_trajectory(posteriors, pipeline.kalman_config(cfg))
-    write_trajectory_csv(posteriors, st.filtered, args.out, model.class_order)
-    print(f"{st.n_steps} frames -> {args.out}")
+    n_frames = _write_trajectory(model, fm, pipeline.kalman_config(cfg), args.out)
+    print(f"{n_frames} frames -> {args.out}")
     return 0
 
 
@@ -200,9 +206,7 @@ def cmd_run(args) -> int:
     kcfg = replace(kcfg, q=tuned.best_q)
     mats, labels = pipeline.test_set(manifest, features_dir)
     _evaluate(model, kcfg, mats, labels, cfg.fusion, out_dir)
-    posteriors = predict_frames(model, mats[0])
-    write_trajectory_csv(posteriors, filter_trajectory(posteriors, kcfg).filtered,
-                         out_dir / "trajectory_000.csv", model.class_order)
+    _write_trajectory(model, mats[0], kcfg, out_dir / "trajectory_000.csv")
     print(f"first test trajectory: {out_dir / 'trajectory_000.csv'}")
     return 0
 
@@ -214,54 +218,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("manifest", help="scan a dataset directory into a split manifest")
+    def add(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    # arguments that several subcommands share, each declared once
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="pipeline config JSON")
+    overrides = argparse.ArgumentParser(add_help=False)
+    overrides.add_argument("--seed", type=int, help="override config seed")
+    overrides.add_argument("--epochs", type=int, help="override config epochs")
+    features = argparse.ArgumentParser(add_help=False)
+    features.add_argument("manifest", help="manifest JSON path")
+    features.add_argument("--features", required=True, help="directory of .feat files")
+    checkpoint = argparse.ArgumentParser(add_help=False)
+    checkpoint.add_argument("--checkpoint", required=True, help="trained model checkpoint")
+
+    p = add("manifest", cmd_manifest, "scan a dataset directory into a split manifest")
     p.add_argument("root", help="directory tree of dash-coded WAV files")
     p.add_argument("--out", required=True, help="manifest JSON path")
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_manifest)
 
-    p = sub.add_parser("extract", help="extract per-frame features for every record")
+    p = add("extract", cmd_extract, "extract per-frame features for every record", config)
     p.add_argument("manifest", help="manifest JSON path")
     p.add_argument("--out-dir", required=True, help="directory for .feat files")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", help="train the frame classifier on the train split")
-    p.add_argument("manifest", help="manifest JSON path")
-    p.add_argument("--features", required=True, help="directory of .feat files")
+    p = add("train", cmd_train, "train the frame classifier on the train split",
+            features, config, overrides)
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--trace", help="training trace CSV (default: <out>.trace.csv)")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--epochs", type=int, help="override config epochs")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score the test split and write reports")
-    p.add_argument("manifest", help="manifest JSON path")
-    p.add_argument("--features", required=True, help="directory of .feat files")
-    p.add_argument("--checkpoint", required=True, help="trained model checkpoint")
+    p = add("evaluate", cmd_evaluate, "score the test split and write reports",
+            features, checkpoint, config)
     p.add_argument("--out-dir", required=True, help="directory for report files")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("trajectory", help="emit raw and filtered posteriors for one file")
+    p = add("trajectory", cmd_trajectory, "emit raw and filtered posteriors for one file",
+            checkpoint, config)
     p.add_argument("audio", help="input WAV file")
-    p.add_argument("--checkpoint", required=True, help="trained model checkpoint")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.set_defaults(func=cmd_trajectory)
 
-    p = sub.add_parser("tune", help="grid-search the kalman q/r ratio on the train split")
-    p.add_argument("manifest", help="manifest JSON path")
-    p.add_argument("--features", required=True, help="directory of .feat files")
-    p.add_argument("--checkpoint", required=True, help="trained model checkpoint")
+    p = add("tune", cmd_tune, "grid-search the kalman q/r ratio on the train split",
+            features, checkpoint, config)
     p.add_argument("--grid", help="comma-separated q/r ratios (default built-in grid)")
     p.add_argument("--out", required=True, help="JSON output path")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("synth", help="generate the synthetic four-class tone dataset")
+    p = add("synth", cmd_synth, "generate the synthetic four-class tone dataset")
     p.add_argument("--out-dir", required=True, help="directory for WAV files")
     p.add_argument("--out", help="manifest path (default <out-dir>/manifest.json)")
     p.add_argument("--per-class", type=int, default=10)
@@ -270,16 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--test-fraction", type=float, default=0.2,
                    help="split fraction; pass a value in (0,1)")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("run", help="extract, train, tune q/r and evaluate in one go")
+    p = add("run", cmd_run, "extract, train, tune q/r and evaluate in one go", config, overrides)
     p.add_argument("manifest", help="split manifest JSON path (from synth or manifest)")
     p.add_argument("--out-dir", required=True,
                    help="directory for features, checkpoint, reports and one trajectory")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--epochs", type=int, help="override config epochs")
-    p.set_defaults(func=cmd_run)
 
     return parser
 
@@ -295,10 +293,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KftserError, OSError, FloatingPointError) as exc:
+    except (KftserError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    except FloatingPointError as exc:
+        # the values came from a numeric input the command read: name each one
+        read = ", ".join(str(getattr(args, key)) for key in ("checkpoint", "features", "audio")
+                         if hasattr(args, key))
+        print(f"error: {read}: {exc}" if read else f"error: {exc}", file=sys.stderr)
+        return 1

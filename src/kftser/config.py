@@ -119,11 +119,8 @@ class PipelineConfig:
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def save(self, path: str | Path) -> None:
-        write_json(path, self.to_dict())
+        write_json(path, dataclasses.asdict(self))
 
     def with_overrides(self, **overrides) -> "PipelineConfig":
         """Apply non-None overrides (CLI flags beat config-file values)."""

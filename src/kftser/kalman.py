@@ -392,6 +392,9 @@ def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
     the filtered mean at t, and the smoother gain is the scalar
     p_t / p_{t+1}^p, the filtered variance at t over the predicted variance
     at t+1. The final smoothed step equals the final filtered step exactly.
+    A predicted variance of exactly 0 (q = 0 once the filtered variance has
+    rounded to 0, as it does for r below about 1e-16) takes the gain's exact
+    value, 1: at q = 0 the two variances are equal.
     The pass is _row_loops' smoother loop, generated once per row width
     (about 1 ms on first use): n = a + g*(n - a) per element on Python
     floats, from the last row backwards, the operations of a numpy row loop
@@ -405,7 +408,8 @@ def rts_smooth(st: SmoothedTrajectory, cfg: KalmanConfig) -> np.ndarray:
     if len(shape) != 2 or shape[0] < 1 or shape[1] != cfg.dim:
         raise ValueError(f"filtered must be T x {cfg.dim} with T >= 1, got {shape}")
     p_pred, _, p_filt = _schedule(cfg.q, cfg.r, shape[0])
-    gain = (p_filt[-2::-1] / p_pred[:0:-1]).tolist()
+    gain = np.divide(p_filt[-2::-1], p_pred[:0:-1], out=np.ones(shape[0] - 1),
+                     where=p_pred[:0:-1] > 0).tolist()
     flat = _row_loops(cfg.dim)[1](st.filtered[::-1].ravel().tolist(), gain)
     means = np.fromiter(flat, np.float64, len(flat)).reshape(shape)
     return means[::-1].copy()

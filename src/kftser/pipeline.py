@@ -24,14 +24,11 @@ from .mlp import MlpModel, TrainTrace, init_model, predict_frames, train
 log = logging.getLogger("kftser.pipeline")
 
 
-def mel_filterbank(cfg: PipelineConfig) -> MelFilterbank:
-    """The config's filterbank, built once per (n_mels, sample_rate, frame_length)."""
-    return _filterbank(cfg.n_mels, cfg.sample_rate, cfg.frame_length)
-
-
 @functools.lru_cache(maxsize=8)
-def _filterbank(n_mels: int, sample_rate: int, n_fft: int) -> MelFilterbank:
-    return build_mel_filterbank(n_filters=n_mels, sample_rate=sample_rate, n_fft=n_fft)
+def mel_filterbank(cfg: PipelineConfig) -> MelFilterbank:
+    """The config's filterbank, built once per config (equal configs share it)."""
+    return build_mel_filterbank(n_filters=cfg.n_mels, sample_rate=cfg.sample_rate,
+                                n_fft=cfg.frame_length)
 
 
 def wav_to_features(path: str | Path, cfg: PipelineConfig,
@@ -91,8 +88,13 @@ def load_features_for_indices(features_dir: str | Path, indices) -> list[Feature
     return [load_features(features_dir / feature_filename(i)) for i in indices]
 
 
-def _labels_for(manifest: Manifest, indices) -> np.ndarray:
-    return np.array([int(manifest.records[i].emotion) for i in indices], dtype=np.intp)
+def _split(manifest: Manifest, features_dir: str | Path, name: str):
+    """The named split's feature matrices and utterance labels."""
+    indices = getattr(manifest, f"{name}_indices")
+    if not indices:
+        raise KftserError(f"manifest has no {name} split; run the split step first")
+    mats = load_features_for_indices(features_dir, indices)
+    return mats, np.array([int(manifest.records[i].emotion) for i in indices], dtype=np.intp)
 
 
 def train_from_manifest(manifest: Manifest, features_dir: str | Path,
@@ -102,10 +104,7 @@ def train_from_manifest(manifest: Manifest, features_dir: str | Path,
     Every frame inherits its utterance's label; the scaler is fitted on
     train rows only and stored on the model.
     """
-    if not manifest.train_indices:
-        raise KftserError("manifest has no train split; run the split step first")
-    mats = load_features_for_indices(features_dir, manifest.train_indices)
-    labels = _labels_for(manifest, manifest.train_indices)
+    mats, labels = _split(manifest, features_dir, "train")
     rows = np.vstack([fm.rows for fm in mats])
     frame_labels = np.concatenate([
         np.full(fm.n_frames, lab, dtype=np.intp) for fm, lab in zip(mats, labels)
@@ -119,16 +118,11 @@ def train_from_manifest(manifest: Manifest, features_dir: str | Path,
 def tune_from_manifest(model: MlpModel, manifest: Manifest, features_dir: str | Path,
                        kcfg: KalmanConfig, ratios=DEFAULT_RATIO_GRID) -> TuneResult:
     """Grid-search the q/r ratio by fused utterance accuracy on the train split."""
-    if not manifest.train_indices:
-        raise KftserError("manifest has no train split to tune on")
-    mats = load_features_for_indices(features_dir, manifest.train_indices)
-    return tune_qr_ratio([predict_frames(model, fm) for fm in mats],
-                         _labels_for(manifest, manifest.train_indices), kcfg, ratios=ratios)
+    mats, labels = _split(manifest, features_dir, "train")
+    return tune_qr_ratio([predict_frames(model, fm) for fm in mats], labels, kcfg,
+                         ratios=ratios)
 
 
 def test_set(manifest: Manifest, features_dir: str | Path):
     """The test split's feature matrices and utterance labels."""
-    if not manifest.test_indices:
-        raise KftserError("manifest has no test split; run the split step first")
-    mats = load_features_for_indices(features_dir, manifest.test_indices)
-    return mats, _labels_for(manifest, manifest.test_indices)
+    return _split(manifest, features_dir, "test")

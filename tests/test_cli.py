@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from kftser.features import FeatureMatrix, save_features
 from kftser.manifest import CLASS_NAMES, Manifest
 from kftser.mlp import init_model, load_checkpoint, save_checkpoint
-from kftser.cli import _print_tune, main
+from kftser.cli import _print_tune, build_parser, main
 from kftser.kalman import TuneResult
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -491,8 +492,8 @@ def test_checkpoint_of_the_wrong_input_width_is_a_runtime_error(cli_ws, tmp_path
 def test_overflowing_inputs_are_a_runtime_error(cli_ws, tmp_path, capsys, command):
     """Finite inputs whose arithmetic overflows, a checkpoint of 1e200
     parameters or a train-split .feat of 1e308 values, stop at the first
-    overflow: exit 1, one error line, no RuntimeWarning (the test run turns
-    each into an error), and no output."""
+    overflow: exit 1, one error line naming the injected input, no
+    RuntimeWarning (the test run turns each into an error), and no output."""
     model = load_checkpoint(cli_ws["ckpt"])
     model.params[:] = 1e200
     ckpt = tmp_path / "huge.ckpt"
@@ -513,6 +514,7 @@ def test_overflowing_inputs_are_a_runtime_error(cli_ws, tmp_path, capsys, comman
     assert main([command, *inputs[command]]) == 1
     captured = capsys.readouterr()
     assert re.fullmatch(r"error: [^\n]*overflow[^\n]*\n", captured.err)
+    assert str(features if command == "train" else ckpt) in captured.err
     assert captured.out == ""
     assert not out.exists()
 
@@ -719,6 +721,28 @@ _ARGV_FLAGS = {
                    "--seed", "--test-fraction"]),
     "run": (["manifest"], ["--out-dir", "--config", "--seed", "--epochs"]),
 }
+# (required, default, type) of every argument in _ARGV_FLAGS, by positional
+# name or option string.
+_REQUIRED, _OPTIONAL = (True, None, None), (False, None, None)
+_CLI_SURFACE = {
+    "manifest": {"root": _REQUIRED, "--out": _REQUIRED, "--test-fraction": (False, 0.2, float),
+                 "--seed": (False, 0, int)},
+    "extract": {"manifest": _REQUIRED, "--out-dir": _REQUIRED, "--config": _OPTIONAL},
+    "train": {"manifest": _REQUIRED, "--features": _REQUIRED, "--out": _REQUIRED,
+              "--trace": _OPTIONAL, "--config": _OPTIONAL, "--seed": (False, None, int),
+              "--epochs": (False, None, int)},
+    "evaluate": {"manifest": _REQUIRED, "--features": _REQUIRED, "--checkpoint": _REQUIRED,
+                 "--out-dir": _REQUIRED, "--config": _OPTIONAL},
+    "trajectory": {"audio": _REQUIRED, "--checkpoint": _REQUIRED, "--out": _REQUIRED,
+                   "--config": _OPTIONAL},
+    "tune": {"manifest": _REQUIRED, "--features": _REQUIRED, "--checkpoint": _REQUIRED,
+             "--grid": _OPTIONAL, "--out": _REQUIRED, "--config": _OPTIONAL},
+    "synth": {"--out-dir": _REQUIRED, "--out": _OPTIONAL, "--per-class": (False, 10, int),
+              "--sample-rate": (False, 22050, int), "--duration": (False, 1.0, float),
+              "--seed": (False, 0, int), "--test-fraction": (False, 0.2, float)},
+    "run": {"manifest": _REQUIRED, "--out-dir": _REQUIRED, "--config": _OPTIONAL,
+            "--seed": (False, None, int), "--epochs": (False, None, int)},
+}
 _ARGV_VALUES = ["0", "-1", "nan", "inf", "1e400", "abc", "", ",", "0.5",
                 "MISSING", "JUNK", "EMPTY_SPLIT", "LIST_CONFIG"]
 
@@ -757,6 +781,25 @@ def test_argv_fuzz_exits_with_documented_codes(tmp_path, monkeypatch, argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in stderr.getvalue(), argv
+
+
+def test_cli_surface_matches_the_table():
+    """Each subcommand has exactly the positionals (in order) and options of
+    _ARGV_FLAGS, each storing one value, with _CLI_SURFACE's required flag,
+    default and type."""
+    [subparsers] = [a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(subparsers.choices) == sorted(_ARGV_FLAGS)
+    for name, parser in subparsers.choices.items():
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        assert all(type(a) is argparse._StoreAction and a.nargs is None for a in actions), name
+        positionals = [a.dest for a in actions if not a.option_strings]
+        options = [s for a in actions for s in a.option_strings]
+        assert positionals == _ARGV_FLAGS[name][0], name
+        assert sorted(options) == sorted(_ARGV_FLAGS[name][1]), name
+        surface = {(a.option_strings or [a.dest])[0]: (a.required, a.default, a.type)
+                   for a in actions}
+        assert surface == _CLI_SURFACE[name], name
 
 
 def test_outputs_do_not_depend_on_blas_thread_count(tmp_path, child_env):

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -776,6 +777,18 @@ class TestRtsSmoother:
         traj = filter_trajectory(rng.uniform(0, 1, size=(20, 4)), cfg)
         smoothed = rts_smooth(traj, cfg)
         np.testing.assert_allclose(smoothed, np.tile(smoothed[-1], (20, 1)), atol=1e-9)
+
+    @pytest.mark.parametrize("r", [1e-17, 1e-300, 5e-324])
+    def test_zero_process_noise_and_tiny_r_keep_the_filtered_rows(self, rng, r):
+        """At q = 0 with r this small the first gain rounds to 1, so every
+        later predicted variance is exactly 0; the smoother gain there is its
+        exact value, 1, not 0/0."""
+        cfg = KalmanConfig(q=0.0, r=r)
+        traj = filter_trajectory(rng.dirichlet(np.ones(4), size=3), cfg)
+        with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            smoothed = rts_smooth(traj, cfg)
+        np.testing.assert_array_equal(smoothed, traj.filtered)
 
     def test_single_step_is_unchanged(self, rng):
         cfg = KalmanConfig()
