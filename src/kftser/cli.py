@@ -302,3 +302,7 @@ def main(argv=None) -> int:
                          if hasattr(args, key))
         print(f"error: {read}: {exc}" if read else f"error: {exc}", file=sys.stderr)
         return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

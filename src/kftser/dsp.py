@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -203,7 +205,10 @@ def resample_trimmed(
     its RMS R0 is at most the loudest frame's, so a frame with B below
     R0 * 10**(-threshold_db / 20) is neither kept nor the loudest. Only the
     frames from the first to the last that reach that value are resampled,
-    and the unchanged trim_silence runs on them.
+    and the unchanged trim_silence runs on them. A span of _SPLIT_MIN outputs
+    or more, on a process that may use two CPUs, is resampled as two halves,
+    the second on a worker thread that ends before this returns; every
+    output is computed as it would be in one piece, so the bytes are the same.
     """
     _check_threshold(threshold_db)
     if target_rate <= 0 or clip.sample_rate == target_rate:
@@ -216,9 +221,14 @@ def resample_trimmed(
     n_out = -(-n_in * up // down)  # resample's output length, ceil(n_in * up / down)
     starts = np.arange(0, n_out, cfg.hop_length)  # output span of each trim frame
     ends = np.minimum(starts + cfg.frame_length, n_out)
-    # output m reads inputs n with |m * down - n * up| <= half
-    lo = np.maximum(0, -((half - starts * down) // up))
-    hi = np.minimum(n_in, ((ends - 1) * down + half) // up + 1)
+
+    def reads(o0, o1):
+        """The inputs [lo, hi) that outputs o0..o1 - 1 read: output m reads
+        inputs n with |m * down - n * up| <= half."""
+        return (np.maximum(0, -((half - o0 * down) // up)),
+                np.minimum(n_in, ((o1 - 1) * down + half) // up + 1))
+
+    lo, hi = reads(starts, ends)
     # reduceat over (lo, hi) pairs: entry 2t reduces inputs [lo_t, hi_t). Its indices
     # must be < n_in, so frames that read the last input take it separately. The
     # largest |x| is the larger of max(x) and -min(x), with no |x| copy of the clip.
@@ -232,19 +242,43 @@ def resample_trimmed(
     if not np.isfinite(bound[loudest]):
         return trim_silence(resample(clip, target_rate), threshold_db, cfg)
 
-    def frames(first: int, final: int) -> AudioClip:
-        """Output frames first..final of resample(clip, target_rate), byte for
-        byte. The input slice starts on a multiple of down, so its output grid
-        is the clip's shifted by a * up samples, and it holds every input those
-        frames read."""
-        a = lo[first] // down
-        part = resample(AudioClip(clip.samples[a * down : hi[final]], clip.sample_rate),
-                        target_rate)
-        return AudioClip(part.samples[starts[first] - a * up : ends[final] - a * up], target_rate)
+    def span(o0: int, o1: int) -> np.ndarray:
+        """Outputs o0..o1 - 1 of resample(clip, target_rate), byte for byte.
+        The input slice starts on a multiple of down, so its output grid is
+        the clip's shifted by a * up samples, and it holds every input those
+        outputs read."""
+        first, end = reads(o0, o1)
+        a = int(first) // down
+        part = resample(AudioClip(clip.samples[a * down : end], clip.sample_rate), target_rate)
+        return part.samples[o0 - a * up : o1 - a * up]
 
-    r0 = frame_rms(padded_signal(frames(loudest, loudest), cfg), cfg)[0]
+    r0 = frame_rms(padded_signal(AudioClip(span(starts[loudest], ends[loudest]), target_rate),
+                                 cfg), cfg)[0]
     reach = np.flatnonzero(bound >= r0 * 10.0 ** (-threshold_db / 20.0))
-    return trim_silence(frames(reach[0], reach[-1]), threshold_db, cfg)
+    o0, o1 = int(starts[reach[0]]), int(ends[reach[-1]])
+    if o1 - o0 < _SPLIT_MIN or _usable_cpus() < 2:
+        kept = span(o0, o1)
+    else:  # upfirdn releases the GIL, so a worker resamples the second half meanwhile
+        mid = (o0 + o1) // 2
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            second = worker.submit(span, mid, o1)
+            kept = np.concatenate([span(o0, mid), second.result()])
+    return trim_silence(AudioClip(kept, target_rate), threshold_db, cfg)
+
+
+# A kept span of at least this many outputs is resampled in two halves on two
+# threads. Starting the worker costs about 0.1 ms, a large share of what a
+# shorter span's second half takes to resample (0.9 ms for all 8,192 outputs
+# from 48 kHz).
+_SPLIT_MIN = 8192
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def trim_silence(

@@ -355,7 +355,9 @@ def predict_frames(model: MlpModel, features) -> np.ndarray:
     """Per-frame posteriors (T x n_classes) for one utterance.
 
     Accepts a FeatureMatrix or a raw (T, 41) array; the scaler stored on the
-    model is applied here, so inputs stay unscaled.
+    model is applied here, so inputs stay unscaled. BLAS runs on one thread:
+    a second BLAS thread, once woken, spins on another CPU after the call
+    returns, the CPU that dsp.resample_trimmed's worker thread needs.
     """
     rows = features.rows if isinstance(features, FeatureMatrix) else features
     rows = np.asarray(rows, dtype=np.float64)
@@ -365,7 +367,8 @@ def predict_frames(model: MlpModel, features) -> np.ndarray:
         return np.empty((0, model.layer_dims[-1]))
     if model.scaler is not None:
         rows = apply_scaler(rows, model.scaler)
-    return forward(model, rows)
+    with _one_blas_thread():
+        return forward(model, rows)
 
 
 def save_trace_csv(trace: TrainTrace, path: str | Path) -> None:

@@ -857,6 +857,20 @@ def test_console_script_and_module_entry(tmp_path, child_env):
                                 capture_output=True, text=True, env=env, cwd=tmp_path))
 
 
+def test_both_module_entries_fail_alike(tmp_path, child_env):
+    """python -m kftser.cli is not a silent no-op: it exits and reports as
+    python -m kftser does, and neither writes the output directory."""
+    runs = [subprocess.run([sys.executable, "-m", module, "run", "nothing.json",
+                            "--out-dir", "x"],
+                           capture_output=True, text=True, env=child_env(), cwd=tmp_path)
+            for module in ("kftser", "kftser.cli")]
+    assert [proc.returncode for proc in runs] == [1, 1]
+    assert runs[0].stderr == runs[1].stderr
+    assert runs[0].stderr.splitlines() == [
+        "error: [Errno 2] No such file or directory: 'nothing.json'"]
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.skipif(shutil.which("kftser") is None,
                     reason="kftser console script is not installed on PATH")
 def test_installed_console_script():

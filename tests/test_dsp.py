@@ -1,9 +1,12 @@
 import hashlib
 import math
+import os
 import re
 import struct
 import subprocess
 import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kftser import dsp
 from kftser.dsp import (
     AudioClip,
     FramingConfig,
@@ -447,20 +451,106 @@ class TestResampleTrimmed:
 
     def test_resamples_only_the_span_the_trim_can_keep(self, monkeypatch):
         read = []
+        spy = _SplitSpy(monkeypatch)
 
         def counting(clip, target_rate):
             read.append(len(clip.samples))
+            spy.saw(clip)
             return resample(clip, target_rate)
 
         rate = 48000
         tone = 0.5 * np.sin(2 * np.pi * 220.0 * np.arange(rate) / rate)
         clip = AudioClip(np.concatenate([np.zeros(rate), tone, np.zeros(2 * rate)]), rate)
+        n_out = len(resample(clip, 22050).samples)
         monkeypatch.setattr("kftser.dsp.resample", counting)
+        spy.clip = clip
         got = resample_trimmed(clip, 22050)
         monkeypatch.undo()
         assert _same_bytes(got, trim_silence(resample(clip, 22050)))
-        assert len(read) == 2  # the loudest frame, then the span
+        # the loudest frame, then the span [o0, o1) as [o0, mid) here and [mid, o1) on the worker
+        (mid, o1), = spy.submitted
+        o0 = o1 - spy.kept[0]
+        assert mid == (o0 + o1) // 2 and o1 - o0 >= dsp._SPLIT_MIN
+        window = _input_window(clip, 22050)
+        frames = {window(t, min(t + 2048, n_out)) for t in range(0, n_out, 512)}
+        assert spy.calls[0] in {("caller", *w) for w in frames}
+        assert sorted(spy.calls[1:]) == [("caller", *window(o0, mid)), ("worker", *window(mid, o1))]
         assert sum(read) < 0.4 * len(clip.samples)  # the tone is a quarter of the clip
+
+    def test_a_span_below_the_split_minimum_is_resampled_in_one_piece(self, monkeypatch):
+        spy = _SplitSpy(monkeypatch)
+        spy.clip = clip = _tone_clip(48000, 0.1)
+        got = resample_trimmed(clip, 22050)
+        monkeypatch.undo()
+        assert _same_bytes(got, trim_silence(resample(clip, 22050)))
+        assert spy.kept[0] < dsp._SPLIT_MIN
+        assert [who for who, _, _ in spy.calls] == ["caller", "caller"]  # loudest frame, span
+        assert spy.submitted == []
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("where", ["first", "inside", "last"])
+    @pytest.mark.parametrize("rate", [8000, 16000, 44100, 48000, 96000])
+    def test_spans_around_the_split_minimum(self, monkeypatch, rate, where, offset):
+        """Kept spans one output below, at and one above the split minimum, at
+        the clip's first sample, inside it and at its last sample: the same
+        bytes, in one piece below the minimum and in two halves from it on."""
+        clip, cfg = _clip_with_span(rate, dsp._SPLIT_MIN + offset, where)
+        spy = _SplitSpy(monkeypatch)
+        spy.clip = clip
+        got = resample_trimmed(clip, 22050, 20.0, cfg)
+        monkeypatch.undo()
+        assert spy.kept == [dsp._SPLIT_MIN + offset]
+        assert _same_bytes(got, trim_silence(resample(clip, 22050), 20.0, cfg))
+        assert len(spy.calls) == (2 if offset < 0 else 3)
+        assert len(spy.submitted) == (0 if offset < 0 else 1)
+
+    @given(clip=_clips(), target=st.sampled_from(RATES),
+           threshold=st.floats(min_value=0.5, max_value=40.0),
+           cfg=st.sampled_from([FramingConfig(), FramingConfig(400, 160), FramingConfig(7, 3)]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_trim_of_the_full_resample_when_every_span_splits(self, clip, target,
+                                                                     threshold, cfg):
+        with mock.patch.object(dsp, "_SPLIT_MIN", 1), \
+                mock.patch.object(dsp, "_usable_cpus", lambda: 2):
+            got = resample_trimmed(clip, target, threshold, cfg)
+        assert _same_bytes(got, trim_silence(resample(clip, target), threshold, cfg))
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(dsp, "_usable_cpus", lambda: 2)
+        clip = _tone_clip(48000, 1.0)
+        threads = set(threading.enumerate())
+        got = resample_trimmed(clip, 22050)
+        assert set(threading.enumerate()) == threads
+        assert _same_bytes(got, trim_silence(resample(clip, 22050)))
+
+    def test_a_failure_in_the_workers_half_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(dsp, "_usable_cpus", lambda: 2)
+        caller = threading.current_thread()
+
+        def fail_off_the_caller(clip, target_rate):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("injected worker failure")
+            return resample(clip, target_rate)
+
+        clip = _tone_clip(48000, 1.0)
+        monkeypatch.setattr(dsp, "resample", fail_off_the_caller)
+        threads = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="injected worker failure"):
+            resample_trimmed(clip, 22050)
+        assert set(threading.enumerate()) == threads
+
+    def test_one_usable_cpu_starts_no_worker(self, monkeypatch):
+        def no_worker(*args, **kwargs):
+            raise AssertionError("a worker was started")
+
+        clip = _tone_clip(48000, 1.0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(dsp, "ThreadPoolExecutor", no_worker)
+        assert dsp._usable_cpus() == 1
+        got = resample_trimmed(clip, 22050)
+        monkeypatch.undo()
+        assert _same_bytes(got, trim_silence(resample(clip, 22050)))
 
     def test_matching_rate_only_trims(self):
         clip = AudioClip(np.concatenate([np.zeros(9000), np.ones(3000), np.zeros(9000)]), 22050)
@@ -493,6 +583,102 @@ class TestResampleTrimmed:
         with pytest.raises(ValueError, match="threshold_db must be finite and > 0"):
             resample_trimmed(AudioClip(tone, rate), 22050, bad)
         assert read == []
+
+
+class _SplitSpy:
+    """Watches resample_trimmed on a process that may use two CPUs: `calls`
+    holds ("caller" or "worker", first input, end input) for each resample of
+    a slice of `clip`, `submitted` the (mid, o1) of each half handed to the
+    worker, and `kept` the length of each span passed to trim_silence."""
+
+    def __init__(self, monkeypatch):
+        self.clip, self.calls, self.submitted, self.kept = None, [], [], []
+        self.caller = threading.current_thread()
+        spy, real_resample, real_trim = self, dsp.resample, dsp.trim_silence
+
+        class Pool(dsp.ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                spy.submitted.append(args)
+                return super().submit(fn, *args)
+
+        def resampling(clip, target_rate):
+            spy.saw(clip)
+            return real_resample(clip, target_rate)
+
+        def trimming(clip, *args):
+            spy.kept.append(len(clip.samples))
+            return real_trim(clip, *args)
+
+        monkeypatch.setattr(dsp, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(dsp, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(dsp, "resample", resampling)
+        monkeypatch.setattr(dsp, "trim_silence", trimming)
+
+    def saw(self, part):
+        """Record the input slice `part` of self.clip as (thread, first, end)."""
+        if self.clip is None or not np.shares_memory(part.samples, self.clip.samples):
+            return
+        first = (part.samples.ctypes.data - self.clip.samples.ctypes.data) // 8
+        who = "caller" if threading.current_thread() is self.caller else "worker"
+        self.calls.append((who, first, first + len(part.samples)))
+
+
+def _input_window(clip, target_rate):
+    """window(o0, o1): the input slice [first, end) that resample_trimmed
+    resamples for outputs o0..o1 - 1. Output m reads inputs n with
+    |m * down - n * up| <= half; the slice starts on a multiple of down."""
+    up, down = _reduced_ratio(clip.sample_rate, target_rate)
+    half = len(_resample_kernel(up, down)[0]) // 2
+    n_in = len(clip.samples)
+
+    def window(o0, o1):
+        lo = max(0, -((half - o0 * down) // up))
+        return lo // down * down, min(n_in, ((o1 - 1) * down + half) // up + 1)
+
+    return window
+
+
+def _tone_clip(rate, tone_s):
+    """A 220 Hz tone of tone_s seconds between one second of silence on each side."""
+    tone = 0.5 * np.sin(2 * np.pi * 220.0 * np.arange(round(rate * tone_s)) / rate)
+    return AudioClip(np.concatenate([np.zeros(rate), tone, np.zeros(rate)]), rate)
+
+
+def _kept_span(clip, cfg):
+    """The number of outputs resample_trimmed(clip, 22050, 20, cfg) resamples
+    for the trim."""
+    kept, real = [], dsp.trim_silence
+
+    def trimming(c, *args):
+        kept.append(len(c.samples))
+        return real(c, *args)
+
+    with mock.patch.object(dsp, "trim_silence", trimming):
+        resample_trimmed(clip, 22050, 20.0, cfg)
+    return kept[0]
+
+
+def _clip_with_span(rate, n_span, where):
+    """A clip at `rate` and a hop-1 framing whose kept span at 22,050 Hz holds
+    exactly n_span outputs. A burst of +-0.5 fills the clip from its first
+    sample ("first"), up to its last ("last"), or neither ("inside"), with
+    1,000 outputs of silence on the open sides. Frame t is outputs
+    [t, t + F), so a span touching one end grows by one output per unit of F
+    and an inside span by two; the burst is lengthened until the parity fits."""
+    rng = np.random.default_rng(rate)
+    pad = 1000 * rate // 22050
+    for extra in range(16):
+        burst = rng.choice([-0.5, 0.5], size=(n_span - 600) * rate // 22050 + extra)
+        x = np.concatenate([np.zeros(0 if where == "first" else pad), burst,
+                            np.zeros(0 if where == "last" else pad)])
+        clip = AudioClip(x, rate)
+        step = 2 if where == "inside" else 1
+        short = n_span - _kept_span(clip, FramingConfig(64, 1))
+        if short % step == 0 and 64 + short // step >= 1:
+            cfg = FramingConfig(64 + short // step, 1)
+            if _kept_span(clip, cfg) == n_span:
+                return clip, cfg
+    raise AssertionError(f"no {where} span of {n_span} outputs at {rate} Hz")
 
 
 def _naive_frames(x, frame, hop):

@@ -580,3 +580,37 @@ class TestTrainThreads:
                   TrainConfig(epochs=3, batch_size=8))
         assert two_blas_threads() == 2
         assert set(threading.enumerate()) == threads
+
+
+class TestPredictThreads:
+    def test_one_blas_thread_inside_and_the_count_restored_after(self, rng, monkeypatch,
+                                                                 two_blas_threads):
+        seen, real = [], mlp.forward
+
+        def spy(model, x):
+            seen.append(two_blas_threads())
+            return real(model, x)
+
+        monkeypatch.setattr(mlp, "forward", spy)
+        posteriors = predict_frames(init_model(seed=0), rng.normal(size=(44, 41)))
+        assert posteriors.shape == (44, 4)
+        assert seen == [1]
+        assert two_blas_threads() == 2
+
+    def test_count_restored_when_prediction_fails(self, monkeypatch, two_blas_threads):
+        model = init_model(seed=0)
+        with pytest.raises(ValueError, match="features must be 2-D"):
+            predict_frames(model, np.zeros(41))
+        assert two_blas_threads() == 2
+
+        seen = []
+
+        def fail(model, x):
+            seen.append(two_blas_threads())
+            raise RuntimeError("injected forward failure")
+
+        monkeypatch.setattr(mlp, "forward", fail)
+        with pytest.raises(RuntimeError, match="injected forward failure"):
+            predict_frames(model, np.zeros((3, 41)))
+        assert seen == [1]
+        assert two_blas_threads() == 2
