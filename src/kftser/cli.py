@@ -67,8 +67,9 @@ def _extract(manifest, cfg, out_dir) -> None:
     print(f"{len(manifest.records)} feature files written to {out_dir}")
 
 
-def _train(manifest, features_dir, cfg, out):
-    model, trace = pipeline.train_from_manifest(manifest, features_dir, cfg)
+def _train(manifest, features_dir, cfg, out, every_epoch=False):
+    model, trace = pipeline.train_from_manifest(manifest, features_dir, cfg,
+                                                every_epoch=every_epoch)
     save_checkpoint(model, out)
     if trace.losses:
         print(f"epochs: {len(trace.losses)}, final loss {trace.losses[-1]:.6f}, "
@@ -135,7 +136,8 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    _, trace = _train(Manifest.load(args.manifest), args.features, cfg, args.out)
+    _, trace = _train(Manifest.load(args.manifest), args.features, cfg, args.out,
+                      every_epoch=True)  # the trace CSV has a row per epoch
     trace_path = args.trace or f"{args.out}.trace.csv"
     save_trace_csv(trace, trace_path)
     print(f"trace: {trace_path}")

@@ -96,7 +96,10 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-epoch mean batch loss and full-set frame accuracy."""
+    """Per-epoch mean batch loss, and the full-set frame accuracy of the
+    end-of-epoch model: every epoch's when train scores every epoch, else
+    only the last epoch's (none at 0 epochs).
+    """
 
     losses: list[float] = field(default_factory=list)
     accuracies: list[float] = field(default_factory=list)
@@ -230,8 +233,12 @@ def adam_step(model: MlpModel, grad: np.ndarray, state: AdamState, cfg: TrainCon
     a *= grad
     v *= cfg.beta2
     v += a
-    np.divide(m, 1.0 - cfg.beta1**t, out=a)
-    a *= cfg.learning_rate
+    c1 = 1.0 - cfg.beta1**t
+    if c1 == 1.0:  # m / 1.0 is m, so skip the divide
+        np.multiply(m, cfg.learning_rate, out=a)
+    else:
+        np.divide(m, c1, out=a)
+        a *= cfg.learning_rate
     np.divide(v, 1.0 - cfg.beta2**t, out=b)
     np.sqrt(b, out=b)
     b += cfg.epsilon
@@ -289,19 +296,53 @@ def _frame_accuracy(model: MlpModel, rows: np.ndarray, labels: np.ndarray,
     return correct / len(rows)
 
 
+def _scored_under(errors: dict, *args) -> float:
+    """_frame_accuracy(*args) under the numpy error handling `errors`: a worker
+    thread starts with numpy's defaults, not its caller's."""
+    with np.errstate(**errors):
+        return _frame_accuracy(*args)
+
+
+def _epoch_losses(model: MlpModel, rows: np.ndarray, labels: np.ndarray, cfg: TrainConfig):
+    """Train cfg.epochs epochs of Adam on checked, scaled rows, yielding each
+    epoch's mean batch loss once model.params holds its end-of-epoch values."""
+    state, rng = AdamState(model), np.random.default_rng(cfg.seed)
+    n, size = len(rows), cfg.batch_size
+    grad = np.empty_like(model.params)
+    spaces = {b: _Workspace(model, b, grad) for b in {min(size, n), n % size} - {0}}
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, size):
+            idx = order[start : start + size]
+            ws = spaces[len(idx)]
+            np.take(rows, idx, axis=0, out=ws.x)
+            np.take(labels, idx, out=ws.labels)
+            logits, acts = forward_trace(model, ws.x, ws.out)
+            backward(model, acts, logits, ws.labels, ws)
+            # cross_entropy(logits, labels), from the softmax backward kept
+            lse = np.log(ws.col[:, 0])
+            epoch_loss += float(np.mean(lse - ws.shifted[ws.rows, ws.labels])) * len(idx)
+            adam_step(model, grad, state, cfg)
+        yield epoch_loss / n
+
+
 def train(model: MlpModel, rows: np.ndarray, labels: np.ndarray,
-          cfg: TrainConfig | None = None):
+          cfg: TrainConfig | None = None, *, every_epoch: bool = True):
     """Fit the classifier in place; returns (model, trace).
 
     rows are raw feature rows; the model's scaler (fitted on exactly these
     rows by the caller) is applied here. Shuffling and batching are seeded,
     so a fixed (model, data, cfg) triple reproduces bit-identical weights.
 
-    BLAS runs on one thread here. Each epoch's full-set accuracy is scored
-    on a worker thread from a copy of the parameters taken at the end of
-    that epoch, while this thread trains the next one. Scoring runs in
-    SCORE_BLOCK-row blocks; only the scaled copy of rows, its finiteness
-    check and each epoch's permutation grow with the row count.
+    BLAS runs on one thread here. With every_epoch, each epoch's full-set
+    accuracy is scored on a worker thread, under the caller's numpy error
+    handling, from a copy of the parameters taken at the end of that epoch,
+    while this thread trains the next one. Without it, only the final model
+    is scored, once, on this thread; the score has the same bits as the
+    every-epoch trace's last entry. Scoring runs in SCORE_BLOCK-row blocks;
+    only the scaled copy of rows, its finiteness check and each epoch's
+    permutation grow with the row count.
     """
     cfg = cfg or TrainConfig()
     rows = np.asarray(rows, dtype=np.float64)
@@ -316,38 +357,27 @@ def train(model: MlpModel, rows: np.ndarray, labels: np.ndarray,
     if not np.all(np.isfinite(rows)):
         raise ValueError("input contains non-finite values")
 
-    state, trace, rng = AdamState(model), TrainTrace(), np.random.default_rng(cfg.seed)
-    n, size = len(rows), cfg.batch_size
-    grad = np.empty_like(model.params)
-    spaces = {b: _Workspace(model, b, grad) for b in {min(size, n), n % size} - {0}}
-    score_out = [np.empty((min(n, SCORE_BLOCK), d)) for d in model.layer_dims[1:]]
-    snapshot = MlpModel(layer_dims=model.layer_dims, params=np.empty_like(model.params))
-
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as scorer:
-        scored = None  # the previous epoch's accuracy, still being computed
-        for _ in range(cfg.epochs):
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            for start in range(0, n, size):
-                idx = order[start : start + size]
-                ws = spaces[len(idx)]
-                np.take(rows, idx, axis=0, out=ws.x)
-                np.take(labels, idx, out=ws.labels)
-                logits, acts = forward_trace(model, ws.x, ws.out)
-                backward(model, acts, logits, ws.labels, ws)
-                # cross_entropy(logits, labels), from the softmax backward kept
-                lse = np.log(ws.col[:, 0])
-                epoch_loss += float(np.mean(lse - ws.shifted[ws.rows, ws.labels])) * len(idx)
-                adam_step(model, grad, state, cfg)
-            trace.losses.append(epoch_loss / n)
-            # the snapshot and score_out are reused only once the last pass is read
+    trace, losses = TrainTrace(), _epoch_losses(model, rows, labels, cfg)
+    score_out = [np.empty((min(len(rows), SCORE_BLOCK), d)) for d in model.layer_dims[1:]]
+    with _one_blas_thread():
+        if not every_epoch:
+            trace.losses.extend(losses)
+            if trace.losses:
+                trace.accuracies.append(_frame_accuracy(model, rows, labels, score_out))
+            return model, trace
+        errors = np.geterr()
+        snapshot = MlpModel(layer_dims=model.layer_dims, params=np.empty_like(model.params))
+        with ThreadPoolExecutor(max_workers=1) as scorer:
+            scored = None  # the previous epoch's accuracy, still being computed
+            for loss in losses:
+                trace.losses.append(loss)
+                # the snapshot and score_out are reused only once the last pass is read
+                if scored is not None:
+                    trace.accuracies.append(scored.result())
+                np.copyto(snapshot.params, model.params)
+                scored = scorer.submit(_scored_under, errors, snapshot, rows, labels, score_out)
             if scored is not None:
                 trace.accuracies.append(scored.result())
-            np.copyto(snapshot.params, model.params)
-            scored = scorer.submit(_frame_accuracy, snapshot, rows, labels, score_out)
-        if scored is not None:
-            trace.accuracies.append(scored.result())
-
     return model, trace
 
 
@@ -372,6 +402,11 @@ def predict_frames(model: MlpModel, features) -> np.ndarray:
 
 
 def save_trace_csv(trace: TrainTrace, path: str | Path) -> None:
+    """One row per epoch: its loss and its end-of-epoch frame accuracy, so
+    the trace must come from a train that scored every epoch."""
+    if len(trace.accuracies) != len(trace.losses):
+        raise ValueError(f"trace has {len(trace.losses)} losses but {len(trace.accuracies)} "
+                         "accuracies; the CSV needs one accuracy per epoch")
     write_csv(path, ["epoch", "loss", "frame_accuracy"],
               ([i, repr(loss), repr(acc)]
                for i, (loss, acc) in enumerate(zip(trace.losses, trace.accuracies))))

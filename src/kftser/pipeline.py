@@ -97,12 +97,14 @@ def _split(manifest: Manifest, features_dir: str | Path, name: str):
     return mats, np.array([int(manifest.records[i].emotion) for i in indices], dtype=np.intp)
 
 
-def train_from_manifest(manifest: Manifest, features_dir: str | Path,
-                        cfg: PipelineConfig) -> tuple[MlpModel, TrainTrace]:
+def train_from_manifest(manifest: Manifest, features_dir: str | Path, cfg: PipelineConfig,
+                        *, every_epoch: bool = False) -> tuple[MlpModel, TrainTrace]:
     """Assemble the frame table for the train split and fit the classifier.
 
     Every frame inherits its utterance's label; the scaler is fitted on
-    train rows only and stored on the model.
+    train rows only and stored on the model. The trace scores only the final
+    model unless every_epoch asks train to score each epoch (a trace CSV
+    needs that).
     """
     mats, labels = _split(manifest, features_dir, "train")
     rows = np.vstack([fm.rows for fm in mats])
@@ -112,7 +114,7 @@ def train_from_manifest(manifest: Manifest, features_dir: str | Path,
     scaler = fit_scaler(rows)
     model = init_model(seed=cfg.seed, scaler=scaler)
     log.info("training on %d frames from %d utterances", len(rows), len(mats))
-    return train(model, rows, frame_labels, train_config(cfg))
+    return train(model, rows, frame_labels, train_config(cfg), every_epoch=every_epoch)
 
 
 def tune_from_manifest(model: MlpModel, manifest: Manifest, features_dir: str | Path,

@@ -615,6 +615,16 @@ class TestRun:
         for feat in sorted(cli_ws["features"].glob("*.feat")):
             assert (out_dir / "features" / feat.name).read_bytes() == feat.read_bytes()
 
+    def test_prints_the_training_line_train_prints(self, run_ws, cli_ws, tmp_path, capsys):
+        """run scores only its final model and train scores every epoch; the
+        final accuracy they print must agree."""
+        _, stdout = run_ws
+        assert main(["train", str(cli_ws["manifest"]), "--features", str(cli_ws["features"]),
+                     "--out", str(tmp_path / "m.ckpt"), "--epochs", "12", "--seed", "3"]) == 0
+        want = [line for line in capsys.readouterr().out.splitlines() if line.startswith("epochs:")]
+        assert len(want) == 1 and want[0].startswith("epochs: 12, final loss ")
+        assert [line for line in stdout.splitlines() if line.startswith("epochs:")] == want
+
     def test_matches_tune_then_evaluate_at_the_tuned_q(self, run_ws, cli_ws, tmp_path):
         out_dir, _ = run_ws
         common = [str(cli_ws["manifest"]), "--features", str(cli_ws["features"]),

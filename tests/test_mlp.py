@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import sys
 import threading
@@ -28,6 +29,7 @@ from kftser.mlp import (
     softmax,
     train,
 )
+from kftser.pipeline import load_features_for_indices, train_from_manifest
 
 
 def _zeroed(dims):
@@ -218,6 +220,25 @@ class TestAdam:
         for got, want in ((state.m, m), (state.v, v)):
             assert got.tobytes() == np.concatenate([x.ravel() for x in want]).tobytes()
 
+    @pytest.mark.parametrize("beta1", [0.9, 0.5, 0.0])
+    def test_bit_identical_to_the_expression_once_the_correction_is_one(self, rng, beta1):
+        """1 - beta1**t rounds to exactly 1.0 from t = 356 at beta1 = 0.9 (sooner
+        at 0.5, at once at 0.0), where the step skips its divide."""
+        cfg = TrainConfig(learning_rate=3e-3, beta1=beta1)
+        model = init_model((5, 3), seed=2, class_order=("a", "b", "c"))
+        p, m, v = model.params.copy(), np.zeros_like(model.params), np.zeros_like(model.params)
+        state = AdamState(model)
+        for t in range(1, 401):
+            g = rng.normal(size=p.shape)
+            adam_step(model, g, state, cfg)
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+            m_hat = m / (1.0 - cfg.beta1**t)
+            v_hat = v / (1.0 - cfg.beta2**t)
+            p = p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            assert model.params.tobytes() == p.tobytes(), t
+        assert 1.0 - cfg.beta1**400 == 1.0
+
 
 class TestFlatLayout:
     def test_layer_views_write_through_to_params_and_forward(self):
@@ -288,6 +309,8 @@ class TestTrain:
         fresh = init_model((2, 8, 4), seed=7)
         out, trace = train(model, rows, labels, TrainConfig(epochs=0))
         assert out is model
+        assert trace.losses == [] and trace.accuracies == []
+        _, trace = train(model, rows, labels, TrainConfig(epochs=0), every_epoch=False)
         assert trace.losses == [] and trace.accuracies == []
         for w, wf in zip(out.weights, fresh.weights):
             assert np.array_equal(w, wf)
@@ -438,6 +461,14 @@ class TestCheckpoint:
         assert [float(r[1]) for r in body] == trace.losses
         assert [float(r[2]) for r in body] == trace.accuracies
 
+    def test_trace_csv_refuses_a_final_only_trace(self, tmp_path, rng):
+        rows, labels = _blobs(rng, n_per_class=5)
+        _, trace = train(init_model((2, 8, 4), seed=0), rows, labels, TrainConfig(epochs=4),
+                         every_epoch=False)
+        with pytest.raises(ValueError, match="4 losses but 1 accuracies"):
+            save_trace_csv(trace, tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
+
 
 def _golden_hashes(tmp_path, dims, n_rows, epochs):
     rng = np.random.default_rng(11)
@@ -496,6 +527,82 @@ def test_scored_training_matches_golden_bytes(tmp_path, n_rows, want_ckpt, want_
     assert len(trace.accuracies) == 3
     assert hashlib.sha256((tmp_path / "model.ckpt").read_bytes()).hexdigest() == want_ckpt
     assert _trace_sha256(trace) == want_trace
+
+
+def _scored_data(n_rows):
+    """The model, rows, labels and config of test_scored_training_matches_golden_bytes."""
+    rng = np.random.default_rng(23)
+    rows = 2.0 * rng.normal(size=(n_rows, DEFAULT_LAYER_DIMS[0])) + 0.5
+    labels = rng.integers(0, DEFAULT_LAYER_DIMS[-1], n_rows)
+    rows[:, 0] += labels
+    stats = ScalerStats(mean=rows.mean(axis=0), std=rows.std(axis=0))
+    return init_model(seed=5, scaler=stats), rows, labels, TrainConfig(epochs=3, seed=5)
+
+
+@pytest.mark.parametrize("n_rows", [100, 300])  # both sides of one scoring block
+class TestFinalScoreOnly:
+    def test_same_checkpoint_and_the_every_epoch_trace_s_last_score(self, tmp_path, n_rows):
+        paths = {every: tmp_path / f"{every}.ckpt" for every in (True, False)}
+        traces = {}
+        for every, path in paths.items():
+            model, traces[every] = train(*_scored_data(n_rows), every_epoch=every)
+            save_checkpoint(model, path)
+        assert paths[True].read_bytes() == paths[False].read_bytes()
+        assert traces[False].losses == traces[True].losses
+        assert traces[False].accuracies == [traces[True].accuracies[-1]]
+        assert len(traces[True].accuracies) == 3
+
+    def test_one_pass_on_this_thread_at_one_blas_thread(self, monkeypatch, two_blas_threads,
+                                                        n_rows):
+        seen, scored = [], []
+        real, real_score = mlp.forward_trace, mlp._frame_accuracy
+
+        def spy(model, x, out=None):
+            seen.append(two_blas_threads())
+            return real(model, x, out)
+
+        def score_spy(*args):
+            scored.append(threading.get_ident())
+            return real_score(*args)
+
+        monkeypatch.setattr(mlp, "forward_trace", spy)
+        monkeypatch.setattr(mlp, "_frame_accuracy", score_spy)
+        threads = set(threading.enumerate())
+        train(*_scored_data(n_rows), every_epoch=False)
+        batches, blocks = -(-n_rows // 64), -(-n_rows // mlp.SCORE_BLOCK)
+        assert seen == [1] * (3 * batches + blocks)
+        assert scored == [threading.get_ident()]
+        assert two_blas_threads() == 2
+        assert set(threading.enumerate()) == threads
+
+    def test_failed_final_pass_reaches_the_caller(self, monkeypatch, two_blas_threads, n_rows):
+        seen = []
+
+        def fail(*args):
+            seen.append(two_blas_threads())
+            raise RuntimeError("injected final-pass failure")
+
+        monkeypatch.setattr(mlp, "_frame_accuracy", fail)
+        with pytest.raises(RuntimeError, match="injected final-pass failure"):
+            train(*_scored_data(n_rows), every_epoch=False)
+        assert seen == [1]
+        assert two_blas_threads() == 2
+
+
+def test_train_from_manifest_scores_the_final_model_once(tone_workspace, monkeypatch):
+    calls, real = [], mlp._frame_accuracy
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(mlp, "_frame_accuracy", spy)
+    cfg = dataclasses.replace(tone_workspace["cfg"], epochs=2)
+    _, trace = train_from_manifest(tone_workspace["manifest"], tone_workspace["features_dir"], cfg)
+    n_rows = sum(fm.n_frames for fm in load_features_for_indices(
+        tone_workspace["features_dir"], tone_workspace["manifest"].train_indices))
+    assert calls == [n_rows]
+    assert len(trace.losses) == 2 and len(trace.accuracies) == 1
 
 
 def test_training_memory_is_set_by_the_input_rows(traced_peak):
@@ -580,6 +687,21 @@ class TestTrainThreads:
                   TrainConfig(epochs=3, batch_size=8))
         assert two_blas_threads() == 2
         assert set(threading.enumerate()) == threads
+
+    def test_scorer_thread_runs_under_the_callers_error_handling(self, rng, monkeypatch):
+        seen, real = [], mlp._frame_accuracy
+
+        def spy(*args):
+            seen.append((threading.get_ident(), np.geterr()["over"]))
+            return real(*args)
+
+        monkeypatch.setattr(mlp, "_frame_accuracy", spy)
+        rows, labels = _blobs(rng, n_per_class=10)
+        with np.errstate(over="raise"):
+            train(init_model((2, 8, 4), seed=0), rows, labels, TrainConfig(epochs=3))
+        assert len(seen) == 3
+        assert all(ident != threading.get_ident() for ident, _ in seen)
+        assert [over for _, over in seen] == ["raise"] * 3
 
 
 class TestPredictThreads:
